@@ -1,28 +1,23 @@
-//! `bench-suite` — one run of the paper's whole evaluation, serialised
-//! as a regression-gated trajectory file.
+//! `bench-suite` — one run of the paper's whole evaluation, printed in
+//! the paper's layout and serialised as a regression-gated trajectory
+//! file.
 //!
 //! ```text
 //! usage: bench-suite [--quick | --full] [--out PATH] [--no-reordd]
-//!                    [--engine interp|compiled]
 //! ```
 //!
 //! Reproduces Tables II/III/IV, the ablation, and the closed-loop
-//! calibration headline (predicate-call counts), times the pipeline at
-//! several `--jobs` settings with a byte-identity check, probes an
-//! in-process `reordd` for cold/cached latency and the
-//! queue-wait/service split, evaluates the fact-scaled workloads
-//! bottom-up under each body-ordering strategy, runs the `engine`
-//! section (interp-vs-compiled call identity plus wall times), and
-//! writes everything as schema-versioned JSON (default
-//! `BENCH_PR10.json`). Compare two trajectories with
+//! calibration headline (predicate-call counts), evaluates the
+//! fact-scaled workloads bottom-up under each body-ordering strategy,
+//! checks that the compiled engine calls exactly what the interpreter
+//! calls (the `engine` section), drives a store-backed `reordd` open-loop
+//! and through a warm restart (the `serving` section), prints each
+//! section under its title, and writes everything as schema-versioned
+//! JSON (default `BENCH_PR12.json`). The file holds exact counts only;
+//! wall time is measured by `perfbench`. Compare two trajectories with
 //! `bench-diff`; CI runs `--quick` and diffs against the committed
 //! baseline. Depths only add rows — the counts of a row are identical at
 //! every depth, so a quick run diffs cleanly against a full baseline.
-//!
-//! `--engine compiled` runs every measurement on the compiled engine
-//! instead of the interpreter. Call counts are engine-independent (the
-//! `engine` section gates exactly that identity), so the trajectory's
-//! gated numbers come out the same — the suite just finishes sooner.
 
 use bench_harness::print_table;
 use bench_harness::suite::{encode_trajectory, git_rev, run_suite, Depth};
@@ -30,27 +25,14 @@ use bench_harness::suite::{encode_trajectory, git_rev, run_suite, Depth};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut depth = Depth::Default;
-    let mut out = "BENCH_PR10.json".to_string();
-    let mut probe_reordd = true;
+    let mut out = "BENCH_PR12.json".to_string();
+    let mut serve = true;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => depth = Depth::Quick,
             "--full" => depth = Depth::Full,
-            "--no-reordd" => probe_reordd = false,
-            "--engine" => {
-                i += 1;
-                match args
-                    .get(i)
-                    .and_then(|s| prolog_engine::EngineKind::parse(s))
-                {
-                    Some(kind) => bench_harness::set_default_engine(kind),
-                    None => {
-                        eprintln!("error: --engine needs `interp` or `compiled`");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--no-reordd" => serve = false,
             "--out" => {
                 i += 1;
                 match args.get(i) {
@@ -64,15 +46,12 @@ fn main() {
             "-h" | "--help" => {
                 eprintln!(
                     "usage: bench-suite [--quick | --full] [--out PATH] [--no-reordd]\n\
-                     \x20                  [--engine interp|compiled]\n\
                      \n\
                      --quick      CI smoke subset (cheap modes only)\n\
                      --full       the paper's complete protocol (includes the\n\
                      \x20            3025-query (+,+) sweeps and measured-best search)\n\
-                     --out PATH   trajectory JSON path (default BENCH_PR10.json)\n\
-                     --no-reordd  skip the in-process reordd latency probe\n\
-                     --engine E   engine for all measurements: interp (default)\n\
-                     \x20            or compiled (identical counts, lower wall time)"
+                     --out PATH   trajectory JSON path (default BENCH_PR12.json)\n\
+                     --no-reordd  skip the serving section (boots reordd on loopback)"
                 );
                 return;
             }
@@ -85,29 +64,13 @@ fn main() {
     }
 
     eprintln!("bench-suite: depth={} -> {out}", depth.as_str());
-    let suite = run_suite(depth, probe_reordd);
+    let suite = run_suite(depth, serve);
 
     for section in &suite.sections {
-        print_table(section.name, "row", &section.rows);
-    }
-    println!("\n=== pipeline timings (family workload) ===");
-    println!(
-        "{:<8} {:>12} {:>12} {:>12} {:>12}  identical",
-        "jobs", "total_us", "planning_us", "reorder_us", "emit_us"
-    );
-    for timing in &suite.pipeline_timings {
-        println!(
-            "{:<8} {:>12} {:>12} {:>12} {:>12}  {}",
-            timing.jobs,
-            timing.stats.total.as_micros(),
-            timing.stats.planning.as_micros(),
-            timing.stats.reordering.as_micros(),
-            timing.stats.emission.as_micros(),
-            if timing.output_identical { "yes" } else { "NO" },
-        );
+        print_table(section.title, section.header, &section.rows);
     }
     if !suite.datalog.is_empty() {
-        println!("\n=== datalog bottom-up evaluation ===");
+        println!("\n=== Datalog — bottom-up evaluation per strategy ===");
         println!(
             "{:<20} {:>10} {:>10} {:>7}  per-strategy tuples joined",
             "workload", "facts", "derived", "strata"
@@ -116,7 +79,7 @@ fn main() {
             let per_strategy = run
                 .strategies
                 .iter()
-                .map(|s| format!("{}={} ({} us)", s.strategy, s.tuples_joined, s.wall_us))
+                .map(|s| format!("{}={}", s.strategy, s.tuples_joined))
                 .collect::<Vec<_>>()
                 .join(", ");
             println!(
@@ -125,50 +88,17 @@ fn main() {
             );
         }
     }
-    if !suite.engine.is_empty() {
-        println!("\n=== engine: interp vs compiled ===");
-        println!(
-            "{:<20} {:>12} {:>12} {:>8}  identical",
-            "workload", "interp_us", "compiled_us", "speedup"
-        );
-        for run in &suite.engine {
-            println!(
-                "{:<20} {:>12} {:>12} {:>8.2}  {}",
-                run.label,
-                run.interp_us,
-                run.compiled_us,
-                run.speedup,
-                if run.identical { "yes" } else { "NO" },
-            );
-        }
-    }
-    if let Some(probe) = &suite.reordd {
-        println!("\n=== reordd probe ===");
-        println!(
-            "cold {} us, cached {} us, hit ratio {:.2}, queue-wait mean {} us, \
-             service mean {} us",
-            probe.cold_us,
-            probe.cached_us,
-            probe.cache_hit_ratio,
-            probe.queue_wait_mean_us,
-            probe.service_mean_us
-        );
-    }
     if let Some(serving) = &suite.serving {
-        println!("\n=== serving probe (open loop + warm start) ===");
+        println!("\n=== Serving — open loop and warm restart ===");
         println!(
-            "{}x{}: {}/{} ok ({} cached, {} dropped, {} retries), \
-             p50/p99/p999 {}/{}/{} us",
+            "{}x{}: {}/{} ok ({} cached, {} dropped, {} retries)",
             serving.connections,
             serving.rounds,
             serving.ok,
             serving.attempted,
             serving.cached,
             serving.dropped,
-            serving.retries,
-            serving.p50_us,
-            serving.p99_us,
-            serving.p999_us
+            serving.retries
         );
         println!(
             "warm restart: {}% served from cache ({} disk hits)",
@@ -176,8 +106,8 @@ fn main() {
         );
     }
 
-    // Hard gates: a trajectory with broken equivalence or nondeterministic
-    // parallel output must never become a baseline.
+    // Hard gate: a trajectory with broken equivalence must never become
+    // a baseline.
     assert!(
         suite
             .sections
@@ -186,19 +116,11 @@ fn main() {
             .all(|r| r.equivalent),
         "set-equivalence must hold for every row"
     );
-    assert!(
-        suite.pipeline_timings.iter().all(|t| t.output_identical),
-        "pipeline output must be byte-identical across --jobs settings"
-    );
 
     let json = encode_trajectory(&suite, &git_rev());
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("error: cannot write {out}: {e}");
         std::process::exit(1);
     }
-    eprintln!(
-        "bench-suite: wrote {out} ({} bytes, wall {:.2} s)",
-        json.len(),
-        suite.wall_us as f64 / 1e6
-    );
+    eprintln!("bench-suite: wrote {out} ({} bytes)", json.len());
 }

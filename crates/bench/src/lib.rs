@@ -1,40 +1,17 @@
 //! Shared machinery for regenerating the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (see
-//! DESIGN.md §5); the Criterion benches in `benches/` wrap the same
-//! computations for timed regression tracking. The core loop is always:
-//! load the original program, run the reorderer, execute the same query
-//! set on both, and compare **predicate call counts** — the paper's
-//! metric.
+//! `bench-suite` prints every table and the ablation from [`suite`] (see
+//! DESIGN.md §5); the other binaries in `src/bin/` draw the figures. The
+//! core loop is always: load the original program, run the reorderer,
+//! execute the same query set on both, and compare **predicate call
+//! counts** — the paper's metric. Wall time is measured by `perfbench`,
+//! never here.
 
 pub mod suite;
 
-use prolog_engine::{Counters, Engine, EngineKind, MachineConfig};
+use prolog_engine::{Counters, Engine, MachineConfig};
 use prolog_syntax::{PredId, SourceProgram, Term};
-use prolog_workloads::queries::{mode_queries, QuerySpec};
 use reorder::{ReorderConfig, ReorderResult, Reorderer};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide engine used by [`measure_queries`] (and therefore every
-/// table/section of the suite): `bench-suite --engine compiled` flips
-/// it. Call counts — the paper's metric — are engine-independent (the
-/// `engine` trajectory section gates exactly that), so the trajectory's
-/// gated numbers are identical either way; only wall time changes.
-static DEFAULT_ENGINE_COMPILED: AtomicBool = AtomicBool::new(false);
-
-/// Selects the engine all default-config measurements run on.
-pub fn set_default_engine(kind: EngineKind) {
-    DEFAULT_ENGINE_COMPILED.store(kind == EngineKind::Compiled, Ordering::Relaxed);
-}
-
-/// The engine [`measure_queries`] currently uses.
-pub fn default_engine() -> EngineKind {
-    if DEFAULT_ENGINE_COMPILED.load(Ordering::Relaxed) {
-        EngineKind::Compiled
-    } else {
-        EngineKind::Interp
-    }
-}
 
 /// Result of running a query set against one program.
 #[derive(Debug, Clone)]
@@ -54,24 +31,12 @@ impl Measurement {
     pub fn calls(&self) -> u64 {
         self.counters.user_calls
     }
-
-    /// Total calls including built-ins, for completeness.
-    pub fn calls_with_builtins(&self) -> u64 {
-        self.counters.calls()
-    }
 }
 
-/// Runs `queries` (each a goal term) against a fresh engine loaded with
-/// `program`.
+/// Runs `queries` (each a goal term) against a fresh default engine
+/// loaded with `program`.
 pub fn measure_queries(program: &SourceProgram, queries: &[Term]) -> Measurement {
-    measure_queries_with(
-        program,
-        queries,
-        MachineConfig {
-            engine: default_engine(),
-            ..Default::default()
-        },
-    )
+    measure_queries_with(program, queries, MachineConfig::default())
 }
 
 /// [`measure_queries`] with an explicit machine configuration — the
@@ -99,11 +64,6 @@ pub fn measure_queries_with(
         counters,
         solutions,
     }
-}
-
-/// Runs the per-mode query enumeration of a [`QuerySpec`].
-pub fn measure_spec(program: &SourceProgram, spec: &QuerySpec) -> Measurement {
-    measure_queries(program, &mode_queries(spec))
 }
 
 /// Parses a list of textual queries.

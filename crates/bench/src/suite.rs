@@ -1,15 +1,15 @@
 //! The benchmark-trajectory suite behind the `bench-suite` binary.
 //!
 //! One run reproduces the paper's evaluation (Tables II/III/IV and the
-//! ablation), times the pipeline at several `--jobs` settings, probes an
-//! in-process `reordd` for cold/cached latency, evaluates the
-//! fact-scaled workloads bottom-up under each body-ordering strategy,
-//! compares the interpreter against the compiled engine on the same
-//! workloads (the `engine` section), and serialises all of it into a
-//! schema-versioned trajectory JSON (`BENCH_PR10.json`). The
-//! trajectory is the regression gate: `bench-diff` compares two of these
-//! files and fails on call-count regressions, so the committed baseline
-//! pins the reorderer's measured quality, not just its output bytes.
+//! ablation), the closed-loop calibration headline, the fact-scaled
+//! workloads evaluated bottom-up under each body-ordering strategy, the
+//! interpreter-vs-compiled call identity (the `engine` section), and an
+//! open-loop serving run against a store-backed `reordd`, and serialises
+//! all of it into a schema-versioned trajectory JSON (`BENCH_PR12.json`).
+//! The trajectory is the regression gate: `bench-diff` compares two of
+//! these files and fails on call-count regressions, so the committed
+//! baseline pins the reorderer's measured quality, not just its output
+//! bytes. It carries exact counts only; wall time is `perfbench`'s.
 //!
 //! Call counts are deterministic (fixed workload seeds, fixed configs),
 //! so every [`Depth`] measures its rows identically and deeper runs only
@@ -17,8 +17,8 @@
 //! full-depth baseline.
 
 use crate::{
-    default_engine, measure_queries, measure_queries_with, measured_best, parse_queries,
-    reorder_default, set_equivalent, Row,
+    measure_queries, measure_queries_with, measured_best, parse_queries, reorder_default,
+    set_equivalent, Measurement, Row,
 };
 use prolog_analysis::Mode;
 use prolog_engine::{EngineKind, MachineConfig};
@@ -32,18 +32,16 @@ use prolog_workloads::puzzles::{
 };
 use prolog_workloads::queries::{mode_queries, QuerySpec};
 use prolog_workloads::scaled::{corporate_scaled, family_scaled, ScaledWorkload};
-use reorder::{
-    calibrate_loop, CalibrationOptions, ReorderConfig, ReorderResult, Reorderer, RunStats,
-};
+use reorder::{calibrate_loop, CalibrationOptions, ReorderConfig, ReorderResult, Reorderer};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Version of the trajectory JSON layout. Bump when field names or the
 /// section structure change; `bench-diff` refuses to compare across
 /// versions. v2 added the `datalog` section and top-level object; v3
-/// added the `engine` section (interp-vs-compiled call identity) and
-/// top-level wall-time array; v4 added the `serving` section (open-loop
-/// percentiles + warm-start hit ratio). The number is owned by the
+/// added the `engine` section (interp-vs-compiled call identity); v4
+/// added the `serving` section (open-loop health + warm-start hit
+/// ratio); v5 dropped every wall-clock field. The number is owned by the
 /// `reordd` crate — the serving rows' producer (`reordd-bench
 /// --trajectory-out`) and this consumer must never drift apart.
 pub const BENCH_SCHEMA_VERSION: u64 = reordd::TRAJECTORY_SCHEMA_VERSION;
@@ -79,34 +77,20 @@ impl Depth {
 /// One named group of measurement rows ("table2", "ablation", …).
 pub struct Section {
     pub name: &'static str,
+    /// Heading `bench-suite` prints above the rows (the paper's table
+    /// title for Tables II–IV).
+    pub title: &'static str,
+    /// Heading of the row-label column.
+    pub header: &'static str,
     pub rows: Vec<Row>,
 }
 
-/// Stage timings for one `jobs` setting of the parallel pipeline.
-pub struct JobsTiming {
-    pub jobs: usize,
-    pub stats: RunStats,
-    /// Emitted program bytes identical to the `jobs` baseline run?
-    pub output_identical: bool,
-}
-
-/// Cold/cached latency and queueing split from an in-process `reordd`.
-pub struct ReorddProbe {
-    pub cold_us: u64,
-    pub cached_us: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_hit_ratio: f64,
-    pub queue_wait_mean_us: u64,
-    pub service_mean_us: u64,
-}
-
-/// Serving economics measured end to end: open-loop load against a
+/// Serving health measured end to end: open-loop load against a
 /// store-backed daemon (cold), a graceful drain (which flushes the
 /// persistent tier), and a restart over the same directory that must
-/// serve the repeated workload warm. Latencies belong to the machine
-/// and are never gated; the section rows gate health (`ok/attempted`)
-/// and the warm-start hit percentage.
+/// serve the repeated workload warm. The section rows gate health
+/// (`ok/attempted`) and the warm-start hit percentage; latency is
+/// `perfbench`'s `serve-mixed` workload.
 pub struct ServingProbe {
     pub connections: u64,
     pub rounds: u64,
@@ -115,9 +99,6 @@ pub struct ServingProbe {
     pub cached: u64,
     pub dropped: u64,
     pub retries: u64,
-    pub p50_us: u64,
-    pub p99_us: u64,
-    pub p999_us: u64,
     /// Percentage of the warm (post-restart) run answered from cache.
     pub warm_cached_pct: u64,
     /// Disk-tier hits the restarted daemon reported — proof the warm
@@ -132,7 +113,6 @@ pub struct DatalogStrategyStats {
     /// analogue of the paper's call counts.
     pub tuples_joined: u64,
     pub rounds: u64,
-    pub wall_us: u64,
 }
 
 /// One fact-scaled workload evaluated bottom-up under every strategy.
@@ -149,39 +129,20 @@ pub struct DatalogRun {
     pub equivalent: bool,
 }
 
-/// One workload's interp-vs-compiled wall-clock detail, behind the
-/// `engine` section's call-identity rows. Wall times belong to the
-/// machine, not the algorithm, so they live here — `bench-diff` never
-/// gates this array.
-pub struct EngineRun {
-    /// Workload label, shared with the section row.
-    pub label: String,
-    pub interp_us: u64,
-    pub compiled_us: u64,
-    /// `interp_us / compiled_us` — how much faster the compiled engine
-    /// ran the identical query set.
-    pub speedup: f64,
-    /// Counters *and* per-query solution sets identical across engines.
-    pub identical: bool,
-}
-
 /// Everything one `bench-suite` run measured.
 pub struct Suite {
     pub depth: Depth,
     pub sections: Vec<Section>,
-    pub pipeline_timings: Vec<JobsTiming>,
     /// Bottom-up evaluation details behind the `datalog` section rows.
     pub datalog: Vec<DatalogRun>,
-    /// Wall-clock details behind the `engine` section rows.
-    pub engine: Vec<EngineRun>,
-    pub reordd: Option<ReorddProbe>,
     /// Open-loop + warm-start details behind the `serving` section rows.
     pub serving: Option<ServingProbe>,
-    pub wall_us: u64,
 }
 
-/// Table II — the family tree, per predicate and mode.
-pub fn table2_rows(depth: Depth) -> Vec<Section> {
+/// Table II — the family tree, per predicate and mode. As in the paper,
+/// the reordered program is entered through the mode-tuned version
+/// (`aunt_uu`, …) directly; the dispatcher costs only its `var/1` tests.
+pub fn table2_rows(depth: Depth) -> Section {
     let config = FamilyConfig::default();
     let (program, people) = family_program(&config);
     let result = reorder_default(&program);
@@ -239,10 +200,12 @@ pub fn table2_rows(depth: Depth) -> Vec<Section> {
             });
         }
     }
-    vec![Section {
+    Section {
         name: "table2",
+        title: "Table II — reordering the family-tree program (predicate calls)",
+        header: "predicate (mode)",
         rows,
-    }]
+    }
 }
 
 /// Table III — the corporate database rules.
@@ -269,6 +232,8 @@ pub fn table3_rows(_depth: Depth) -> Section {
         .collect();
     Section {
         name: "table3",
+        title: "Table III — reordering the corporate database (predicate calls)",
+        header: "rule (mode)",
         rows,
     }
 }
@@ -407,6 +372,8 @@ pub fn table4_rows(depth: Depth) -> Section {
 
     Section {
         name: "table4",
+        title: "Table IV — reordering several programs (predicate calls)",
+        header: "program (mode)",
         rows,
     }
 }
@@ -424,17 +391,19 @@ pub fn ablation_rows(depth: Depth) -> Section {
         "brother(X, Y)",
         "sister(X, Y)",
     ]);
-    let baseline = measure_queries(&program, &queries).calls();
+    let baseline = measure_queries(&program, &queries);
     let mut rows = Vec::new();
-    let mut push = |label: &str, result: &ReorderResult| {
-        let calls = measure_queries(&result.program, &queries).calls();
+    let mut push_measured = |label: &str, measured: Measurement| {
         rows.push(Row {
             label: label.to_string(),
-            original: baseline,
-            reordered: calls,
+            original: baseline.calls(),
+            reordered: measured.calls(),
             best: None,
-            equivalent: true,
+            equivalent: set_equivalent(&baseline, &measured),
         });
+    };
+    let mut push = |label: &str, result: &ReorderResult| {
+        push_measured(label, measure_queries(&result.program, &queries));
     };
 
     push(
@@ -523,10 +492,31 @@ pub fn ablation_rows(depth: Depth) -> Section {
                 .with_measured_costs(measured)
                 .run(),
         );
+        let (unfolded, _) = reorder::unfold_program(&program, &reorder::UnfoldConfig::default());
+        push(
+            "unfold + reorder",
+            &Reorderer::new(&unfolded, ReorderConfig::default()).run(),
+        );
+        // Calls are counted at the call port, so indexing shows up in
+        // unification counts only: the unreordered program with
+        // first-argument indexing off must read 1.00 here.
+        push_measured(
+            "first-argument indexing off",
+            measure_queries_with(
+                &program,
+                &queries,
+                MachineConfig {
+                    indexing: false,
+                    ..Default::default()
+                },
+            ),
+        );
     }
 
     Section {
         name: "ablation",
+        title: "Ablation — family-tree (-,-) queries under each configuration (predicate calls)",
+        header: "configuration",
         rows,
     }
 }
@@ -551,10 +541,6 @@ fn pretty_mode(mode_s: &str) -> String {
 pub fn calibration_rows(_depth: Depth) -> Section {
     let opts = CalibrationOptions {
         rounds: 3,
-        sample: reorder::CalibrationConfig {
-            engine: default_engine(),
-            ..Default::default()
-        },
         ..Default::default()
     };
     let mut rows = Vec::new();
@@ -601,6 +587,8 @@ pub fn calibration_rows(_depth: Depth) -> Section {
 
     Section {
         name: "calibration",
+        title: "Closed-loop calibration — calibrated vs original program (predicate calls)",
+        header: "predicate (mode)",
         rows,
     }
 }
@@ -611,8 +599,7 @@ pub fn calibration_rows(_depth: Depth) -> Section {
 /// bound-variables-first tuples joined, `reordered` is chain-cost, so
 /// `ratio()` is the Markov-chain model's win over the classic Datalog
 /// heuristic. Tuple counts are deterministic (seeded workloads, total
-/// cost orders); wall times live only in the info object, which
-/// `bench-diff` does not gate.
+/// cost orders).
 pub fn datalog_rows(depth: Depth) -> (Section, Vec<DatalogRun>) {
     use prolog_datalog::{certify, evaluate, OrderStrategy};
 
@@ -668,7 +655,6 @@ pub fn datalog_rows(depth: Depth) -> (Section, Vec<DatalogRun>) {
                     strategy: e.strategy.label(),
                     tuples_joined: e.stats.tuples_joined,
                     rounds: e.stats.rounds,
-                    wall_us: e.stats.wall_us,
                 })
                 .collect(),
             equivalent,
@@ -677,6 +663,8 @@ pub fn datalog_rows(depth: Depth) -> (Section, Vec<DatalogRun>) {
     (
         Section {
             name: "datalog",
+            title: "Datalog — bound-first vs chain-cost join order (tuples joined)",
+            header: "workload",
             rows,
         },
         runs,
@@ -694,10 +682,8 @@ pub fn datalog_rows(depth: Depth) -> (Section, Vec<DatalogRun>) {
 /// engine that calls *more* than the interpreter drops below the floor,
 /// one that calls *less* breaks equivalence against the committed
 /// baseline, and `bench-suite` itself refuses to emit a trajectory with
-/// a non-equivalent row. Wall times (where the compiled engine is
-/// supposed to win) go to the [`EngineRun`] info array, which is never
-/// gated.
-pub fn engine_rows(depth: Depth) -> (Section, Vec<EngineRun>) {
+/// a non-equivalent row.
+pub fn engine_rows(depth: Depth) -> Section {
     let mut workloads: Vec<(&'static str, SourceProgram, Vec<Term>)> = Vec::new();
     let (family, _) = family_program(&FamilyConfig::default());
     workloads.push((
@@ -733,149 +719,35 @@ pub fn engine_rows(depth: Depth) -> (Section, Vec<EngineRun>) {
         ));
     }
 
-    let mut rows = Vec::new();
-    let mut runs = Vec::new();
-    for (label, program, queries) in &workloads {
-        // Wall time is the better of two one-shot runs (each builds a
-        // fresh engine, so compilation cost is paid inside both).
-        let measure = |kind: EngineKind| {
-            let config = MachineConfig {
-                engine: kind,
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let measurement = measure_queries_with(program, queries, config);
-            let first = t0.elapsed();
-            let t1 = Instant::now();
-            let _ = measure_queries_with(program, queries, config);
-            (measurement, first.min(t1.elapsed()).as_micros() as u64)
-        };
-        let (interp, interp_us) = measure(EngineKind::Interp);
-        let (compiled, compiled_us) = measure(EngineKind::Compiled);
-        let identical =
-            interp.counters == compiled.counters && interp.solutions == compiled.solutions;
-        rows.push(Row {
-            label: label.to_string(),
-            original: interp.calls(),
-            reordered: compiled.calls(),
-            best: None,
-            equivalent: identical,
-        });
-        runs.push(EngineRun {
-            label: label.to_string(),
-            interp_us,
-            compiled_us,
-            speedup: interp_us as f64 / (compiled_us as f64).max(1.0),
-            identical,
-        });
-    }
-    (
-        Section {
-            name: "engine",
-            rows,
-        },
-        runs,
-    )
-}
-
-/// Times the source-to-source pipeline on the family workload at each
-/// `jobs` setting and checks the emitted bytes stay identical — the
-/// determinism contract the parallel driver promises.
-pub fn pipeline_timings(jobs_list: &[usize]) -> Vec<JobsTiming> {
-    let source = prolog_workloads::corpus_program("family")
-        .expect("family workload exists")
-        .text;
-    let mut reference: Option<String> = None;
-    jobs_list
+    let rows = workloads
         .iter()
-        .map(|&jobs| {
-            let config = ReorderConfig {
-                jobs,
-                ..Default::default()
+        .map(|(label, program, queries)| {
+            let measure = |engine: EngineKind| {
+                let config = MachineConfig {
+                    engine,
+                    ..Default::default()
+                };
+                measure_queries_with(program, queries, config)
             };
-            let outcome = reorder::reorder_source(&source, &config).expect("family parses");
-            let output_identical = match &reference {
-                None => {
-                    reference = Some(outcome.text.clone());
-                    true
-                }
-                Some(r) => *r == outcome.text,
-            };
-            JobsTiming {
-                jobs,
-                stats: outcome.report.stats.clone(),
-                output_identical,
+            let interp = measure(EngineKind::Interp);
+            let compiled = measure(EngineKind::Compiled);
+            Row {
+                label: label.to_string(),
+                original: interp.calls(),
+                reordered: compiled.calls(),
+                best: None,
+                // Counters *and* per-query solution sets identical.
+                equivalent: interp.counters == compiled.counters
+                    && interp.solutions == compiled.solutions,
             }
         })
-        .collect()
-}
-
-/// Boots an in-process `reordd`, issues the same reorder twice (cold,
-/// then cached), and reads the daemon's own latency split back out of
-/// its `stats` reply.
-pub fn reordd_probe() -> ReorddProbe {
-    use reordd::{Client, Request, Response, Server, ServerConfig, WireConfig};
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        pipeline_jobs: 1,
-        ..Default::default()
-    })
-    .expect("bind in-process reordd");
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run());
-    let mut client =
-        Client::connect(addr.as_str(), Duration::from_secs(10)).expect("connect to reordd");
-
-    let source = prolog_workloads::corpus_program("family")
-        .expect("family workload exists")
-        .text;
-    let request = Request::Reorder {
-        program: source,
-        config: WireConfig::default(),
-        budget_ms: None,
-    };
-    let call = |client: &mut Client| match client.call(&request) {
-        Ok(Response::Reordered {
-            cached, elapsed_us, ..
-        }) => (cached, elapsed_us),
-        other => panic!("expected a reorder result, got {other:?}"),
-    };
-    let (cached, cold_us) = call(&mut client);
-    assert!(!cached, "first probe request must be a cold run");
-    let (cached, cached_us) = call(&mut client);
-    assert!(cached, "second probe request must hit the cache");
-
-    let stats = match client.call(&Request::Stats) {
-        Ok(Response::Stats(body)) => body,
-        other => panic!("expected stats, got {other:?}"),
-    };
-    let path = |keys: &[&str]| -> u64 {
-        let mut node = &stats;
-        for k in keys {
-            node = node
-                .get(k)
-                .unwrap_or_else(|| panic!("stats reply missing {keys:?}"));
-        }
-        node.as_u64().unwrap_or(0)
-    };
-    let hits = path(&["cache", "hits"]);
-    let misses = path(&["cache", "misses"]);
-    let probe = ReorddProbe {
-        cold_us,
-        cached_us,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_hit_ratio: hits as f64 / ((hits + misses) as f64).max(1.0),
-        queue_wait_mean_us: path(&["latency", "queue_wait", "mean_us"]),
-        service_mean_us: path(&["latency", "service", "mean_us"]),
-    };
-    match client.call(&Request::Shutdown) {
-        Ok(Response::ShuttingDown) => {}
-        other => panic!("expected shutdown ack, got {other:?}"),
+        .collect();
+    Section {
+        name: "engine",
+        title: "Engine — interpreter vs compiled engine (predicate calls, must match)",
+        header: "workload",
+        rows,
     }
-    handle.join().expect("server thread").expect("server run");
-    probe
 }
 
 /// Load shape of the serving probe. Identical at every depth so the
@@ -888,7 +760,7 @@ const SERVING_ROUNDS: usize = 4;
 /// same directory, and drives the identical load again — which must now
 /// be answered warm, from the recovered store.
 pub fn serving_probe() -> (Section, ServingProbe) {
-    use reordd::loadgen::{open_loop, quantile, NodePlan, OpenLoopPlan};
+    use reordd::loadgen::{open_loop, NodePlan, OpenLoopPlan};
     use reordd::{Client, Json, Request, Response, Server, ServerConfig, WireConfig};
     use std::collections::HashMap;
 
@@ -973,7 +845,6 @@ pub fn serving_probe() -> (Section, ServingProbe) {
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let warm_cached_pct = (warm.cached * 100).checked_div(warm.ok).unwrap_or(0);
-    let q = |per_mille: u64| quantile(&cold.latencies_us, per_mille).map_or(0, |q| q.value);
     let probe = ServingProbe {
         connections: SERVING_CONNECTIONS as u64,
         rounds: SERVING_ROUNDS as u64,
@@ -982,14 +853,13 @@ pub fn serving_probe() -> (Section, ServingProbe) {
         cached: cold.cached,
         dropped: cold.dropped,
         retries: cold.retries,
-        p50_us: q(500),
-        p99_us: q(990),
-        p999_us: q(999),
         warm_cached_pct,
         warm_disk_hits,
     };
     let section = Section {
         name: "serving",
+        title: "Serving — open loop against reordd, then a warm restart (requests)",
+        header: "run",
         rows: vec![
             // ok/attempted: exactly 1.0 when nothing dropped or errored,
             // so `--min-ratio serving:1.0` pins "zero dropped requests".
@@ -1014,28 +884,21 @@ pub fn serving_probe() -> (Section, ServingProbe) {
     (section, probe)
 }
 
-/// Runs the whole suite at `depth`.
-pub fn run_suite(depth: Depth, probe_reordd: bool) -> Suite {
-    let started = Instant::now();
-    let mut sections = table2_rows(depth);
-    sections.push(table3_rows(depth));
-    sections.push(table4_rows(depth));
-    sections.push(ablation_rows(depth));
-    sections.push(calibration_rows(depth));
+/// Runs the whole suite at `depth`. The serving probe binds sockets and
+/// writes a temp store, so `serve = false` (`--no-reordd`) skips it in
+/// network-less environments.
+pub fn run_suite(depth: Depth, serve: bool) -> Suite {
     let (datalog_section, datalog) = datalog_rows(depth);
-    sections.push(datalog_section);
-    let (engine_section, engine) = engine_rows(depth);
-    sections.push(engine_section);
-    let jobs_list: &[usize] = match depth {
-        Depth::Quick => &[1, 2],
-        _ => &[1, 2, 8],
-    };
-    let pipeline = pipeline_timings(jobs_list);
-    let reordd = probe_reordd.then(reordd_probe);
-    // The serving probe binds sockets and writes a temp store, so it
-    // rides the same switch as the reordd probe (`--no-reordd` runs in
-    // network-less environments skip both).
-    let serving = probe_reordd.then(|| {
+    let mut sections = vec![
+        table2_rows(depth),
+        table3_rows(depth),
+        table4_rows(depth),
+        ablation_rows(depth),
+        calibration_rows(depth),
+        datalog_section,
+        engine_rows(depth),
+    ];
+    let serving = serve.then(|| {
         let (section, probe) = serving_probe();
         sections.push(section);
         probe
@@ -1043,12 +906,8 @@ pub fn run_suite(depth: Depth, probe_reordd: bool) -> Suite {
     Suite {
         depth,
         sections,
-        pipeline_timings: pipeline,
         datalog,
-        engine,
-        reordd,
         serving,
-        wall_us: started.elapsed().as_micros() as u64,
     }
 }
 
@@ -1094,23 +953,7 @@ pub fn encode_trajectory(suite: &Suite, git_rev: &str) -> String {
         }
         out.push_str("]}");
     }
-    out.push_str("],\"pipeline_timings\":[");
-    for (i, timing) in suite.pipeline_timings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // The nested stats object reuses RunStats's own field encoder —
-        // the same bytes `--timings-json` and the reordd stats reply emit.
-        let _ = write!(
-            out,
-            "{{\"jobs\":{},\"output_identical\":{},\"stats\":{}}}",
-            timing.jobs,
-            timing.output_identical,
-            timing.stats.to_json()
-        );
-    }
-    out.push(']');
-    out.push_str(",\"datalog\":[");
+    out.push_str("],\"datalog\":[");
     for (i, run) in suite.datalog.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1135,48 +978,19 @@ pub fn encode_trajectory(suite: &Suite, git_rev: &str) -> String {
             }
             let _ = write!(
                 out,
-                "{{\"strategy\":\"{}\",\"tuples_joined\":{},\"rounds\":{},\"wall_us\":{}}}",
-                s.strategy, s.tuples_joined, s.rounds, s.wall_us
+                "{{\"strategy\":\"{}\",\"tuples_joined\":{},\"rounds\":{}}}",
+                s.strategy, s.tuples_joined, s.rounds
             );
         }
         let _ = write!(out, "],\"equivalent\":{}}}", run.equivalent);
     }
     out.push(']');
-    out.push_str(",\"engine\":[");
-    for (i, run) in suite.engine.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"label\":");
-        write_str(&mut out, &run.label);
-        let _ = write!(
-            out,
-            ",\"interp_us\":{},\"compiled_us\":{},\"speedup\":{:.4},\"identical\":{}}}",
-            run.interp_us, run.compiled_us, run.speedup, run.identical
-        );
-    }
-    out.push(']');
-    if let Some(probe) = &suite.reordd {
-        let _ = write!(
-            out,
-            ",\"reordd\":{{\"cold_us\":{},\"cached_us\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"cache_hit_ratio\":{:.4},\"queue_wait_mean_us\":{},\
-             \"service_mean_us\":{}}}",
-            probe.cold_us,
-            probe.cached_us,
-            probe.cache_hits,
-            probe.cache_misses,
-            probe.cache_hit_ratio,
-            probe.queue_wait_mean_us,
-            probe.service_mean_us
-        );
-    }
     if let Some(serving) = &suite.serving {
         let _ = write!(
             out,
             ",\"serving\":{{\"connections\":{},\"rounds\":{},\"attempted\":{},\"ok\":{},\
-             \"cached\":{},\"dropped\":{},\"retries\":{},\"p50_us\":{},\"p99_us\":{},\
-             \"p999_us\":{},\"warm_cached_pct\":{},\"warm_disk_hits\":{}}}",
+             \"cached\":{},\"dropped\":{},\"retries\":{},\"warm_cached_pct\":{},\
+             \"warm_disk_hits\":{}}}",
             serving.connections,
             serving.rounds,
             serving.attempted,
@@ -1184,14 +998,11 @@ pub fn encode_trajectory(suite: &Suite, git_rev: &str) -> String {
             serving.cached,
             serving.dropped,
             serving.retries,
-            serving.p50_us,
-            serving.p99_us,
-            serving.p999_us,
             serving.warm_cached_pct,
             serving.warm_disk_hits
         );
     }
-    let _ = write!(out, ",\"wall_us\":{}}}", suite.wall_us);
+    out.push('}');
     out
 }
 
@@ -1222,6 +1033,8 @@ mod tests {
             depth: Depth::Quick,
             sections: vec![Section {
                 name: "table2",
+                title: "Table II",
+                header: "predicate (mode)",
                 rows: vec![Row {
                     label: "aunt(-,-)".into(),
                     original: 100,
@@ -1229,11 +1042,6 @@ mod tests {
                     best: None,
                     equivalent: true,
                 }],
-            }],
-            pipeline_timings: vec![JobsTiming {
-                jobs: 1,
-                stats: RunStats::default(),
-                output_identical: true,
             }],
             datalog: vec![DatalogRun {
                 label: "family/2000".into(),
@@ -1245,26 +1053,9 @@ mod tests {
                     strategy: "chain-cost",
                     tuples_joined: 123,
                     rounds: 4,
-                    wall_us: 77,
                 }],
                 equivalent: true,
             }],
-            engine: vec![EngineRun {
-                label: "kmbench".into(),
-                interp_us: 80_000,
-                compiled_us: 40_000,
-                speedup: 2.0,
-                identical: true,
-            }],
-            reordd: Some(ReorddProbe {
-                cold_us: 1000,
-                cached_us: 10,
-                cache_hits: 1,
-                cache_misses: 1,
-                cache_hit_ratio: 0.5,
-                queue_wait_mean_us: 2,
-                service_mean_us: 500,
-            }),
             serving: Some(ServingProbe {
                 connections: 64,
                 rounds: 4,
@@ -1273,13 +1064,9 @@ mod tests {
                 cached: 245,
                 dropped: 0,
                 retries: 0,
-                p50_us: 900,
-                p99_us: 4000,
-                p999_us: 4100,
                 warm_cached_pct: 100,
                 warm_disk_hits: 11,
             }),
-            wall_us: 12345,
         };
         let json = encode_trajectory(&suite, "abc1234");
         let parsed = reordd::Json::parse(&json).expect("trajectory is valid JSON");
@@ -1291,13 +1078,6 @@ mod tests {
             Some(reordd::Json::Arr(sections)) => assert_eq!(sections.len(), 1),
             other => panic!("sections must be an array, got {other:?}"),
         }
-        assert_eq!(
-            parsed
-                .get("reordd")
-                .and_then(|r| r.get("cached_us"))
-                .and_then(reordd::Json::as_u64),
-            Some(10)
-        );
         match parsed.get("datalog") {
             Some(reordd::Json::Arr(runs)) => {
                 assert_eq!(runs.len(), 1);
@@ -1308,20 +1088,6 @@ mod tests {
             }
             other => panic!("datalog must be an array, got {other:?}"),
         }
-        match parsed.get("engine") {
-            Some(reordd::Json::Arr(runs)) => {
-                assert_eq!(runs.len(), 1);
-                assert_eq!(
-                    runs[0].get("compiled_us").and_then(reordd::Json::as_u64),
-                    Some(40_000)
-                );
-                assert_eq!(
-                    runs[0].get("identical").and_then(reordd::Json::as_bool),
-                    Some(true)
-                );
-            }
-            other => panic!("engine must be an array, got {other:?}"),
-        }
         assert_eq!(
             parsed
                 .get("serving")
@@ -1329,9 +1095,7 @@ mod tests {
                 .and_then(reordd::Json::as_u64),
             Some(100)
         );
-        assert_eq!(
-            parsed.get("wall_us").and_then(reordd::Json::as_u64),
-            Some(12345)
-        );
+        // Counts only: wall time is perfbench's, never the trajectory's.
+        assert!(!json.contains("_us\""), "no wall-clock key: {json}");
     }
 }

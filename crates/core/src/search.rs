@@ -91,6 +91,11 @@ fn culprit_vars(goal: &Body, semifix: &SemifixityAnalysis) -> Vec<usize> {
     }
 }
 
+/// Widest block the order search plans: both searches mark placed goals
+/// in a `u64`. A wider block keeps its written order, the same fallback
+/// an exhausted A* budget takes.
+const MAX_SEARCH_GOALS: usize = u64::BITS as usize;
+
 /// Finds the cheapest legal order of `goals` starting from `entry`.
 /// Returns `None` when even the original order cannot be scanned (the
 /// block is then left untouched by the caller).
@@ -126,7 +131,7 @@ pub fn best_order(
         explored: 1,
         rejected: 0,
     };
-    if n <= 1 {
+    if n <= 1 || n > MAX_SEARCH_GOALS {
         return Some(original);
     }
 
@@ -564,5 +569,28 @@ mod tests {
         }
         assert!(prefix.activations.is_finite());
         assert!(prefix.g.is_finite());
+    }
+
+    /// A body wider than the search's `u64` visited set keeps its written
+    /// order instead of shifting past bit 63 (a panic in debug builds and
+    /// silently aliased goals in release). The body is §I-D's
+    /// `grandparent, female` pair, which a planned block reorders, padded
+    /// with cheap goals.
+    #[test]
+    fn seventy_goal_body_keeps_its_written_order() {
+        let with_padding = |pad: usize| {
+            let mut goals = vec!["grandparent(GC, GM)".to_string(), "female(GM)".to_string()];
+            goals.extend((0..pad).map(|i| format!("t{i}")));
+            let facts: String = (0..pad).map(|i| format!("t{i}.\n")).collect();
+            let src = GRANDMOTHER.replacen("grandparent(GC, GM), female(GM)", &goals.join(", "), 1);
+            choose(&format!("{src}{facts}"), "--", 6)
+        };
+        assert_eq!(with_padding(68), (0..70).collect::<Vec<_>>());
+        let planned = with_padding(2);
+        let at = |goal: usize| planned.iter().position(|&g| g == goal);
+        assert!(
+            at(1) < at(0),
+            "a block the search can plan still moves female first: {planned:?}"
+        );
     }
 }

@@ -254,10 +254,10 @@ fn run_open_loop(opts: &Opts, corpus: &[(String, String)], expected: HashMap<Str
 /// The open-loop run as a `bench-diff`-compatible trajectory document:
 /// one `serving` section whose rows encode health as `original` vs
 /// `reordered` counts, so `--min-ratio serving:1.0` gates them exactly
-/// like the evaluation sections.
+/// like the evaluation sections. Counts only: the latencies printed
+/// above stay on the console.
 fn serving_trajectory(opts: &Opts, report: &reordd::loadgen::OpenLoopReport) -> Json {
     let num = |n: u64| Json::Num(n as f64);
-    let q = |per_mille: u64| num(quantile(&report.latencies_us, per_mille).map_or(0, |q| q.value));
     let mut rows = vec![Json::Obj(vec![
         (
             "label".to_string(),
@@ -271,9 +271,6 @@ fn serving_trajectory(opts: &Opts, report: &reordd::loadgen::OpenLoopReport) -> 
         ("cached".to_string(), num(report.cached)),
         ("dropped".to_string(), num(report.dropped)),
         ("retries".to_string(), num(report.retries)),
-        ("p50_us".to_string(), q(500)),
-        ("p99_us".to_string(), q(990)),
-        ("p999_us".to_string(), q(999)),
     ])];
     if opts.warm_row {
         let cached_pct = (report.cached * 100).checked_div(report.ok).unwrap_or(0);
@@ -307,7 +304,6 @@ fn serving_trajectory(opts: &Opts, report: &reordd::loadgen::OpenLoopReport) -> 
                 ("rows".to_string(), Json::Arr(rows)),
             ])]),
         ),
-        ("wall_us".to_string(), num(report.wall.as_micros() as u64)),
     ])
 }
 

@@ -35,9 +35,11 @@ pub mod store;
 /// serving section's producer and the schema gate can never drift apart;
 /// `crates/bench` re-exports it as `BENCH_SCHEMA_VERSION`.
 ///
-/// v4: `serving` section (open-loop percentiles + warm-start hit ratio)
-/// added alongside the v3 sections.
-pub const TRAJECTORY_SCHEMA_VERSION: u64 = 4;
+/// v4: `serving` section (open-loop health + warm-start hit ratio)
+/// added alongside the v3 sections. v5: every wall-clock field dropped
+/// (latency percentiles, `wall_us`); the document carries counts only
+/// and `perfbench` owns time.
+pub const TRAJECTORY_SCHEMA_VERSION: u64 = 5;
 
 pub use cache::{content_key, CacheCounters, CachedOutcome, Fetch, ResultCache};
 pub use client::Client;

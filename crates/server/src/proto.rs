@@ -349,12 +349,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             _ if pending_surrogate.is_some() => return Err("unpaired surrogate".to_string()),
             _ => {
-                // Copy one UTF-8 scalar verbatim (control bytes are
-                // technically invalid JSON; accept them leniently).
-                let text = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf-8")?;
-                let c = text.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape in one
+                // step (control bytes are technically invalid JSON; accept
+                // them leniently). Both delimiters are ASCII, so the run
+                // ends on a character boundary of the `&str` input.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| "bad utf-8")?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }

@@ -497,3 +497,62 @@ fn overload_sheds_the_request_and_the_connection_survives() {
 
     daemon.shutdown_and_wait(&mut conn_c);
 }
+
+/// `p(f(f(…a…)))` whose innermost `a` is read at nesting `depth`.
+fn nested_fact(depth: usize) -> String {
+    format!("p({}a{}.", "f(".repeat(depth - 2), ")".repeat(depth - 1))
+}
+
+/// Reading a 200k-deep term without a limit overflows a compute
+/// thread's stack, which aborts the whole daemon (`catch_unwind` cannot
+/// stop it). Past the reader's nesting limit the request gets a
+/// positioned `parse` reply, and the daemon keeps serving.
+#[test]
+fn a_200k_deep_term_gets_a_parse_reply_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::spawn(&[]);
+    let mut client = daemon.client();
+    match client.call(&reorder_request(&nested_fact(200_000))) {
+        Ok(Response::Error(err)) => {
+            assert_eq!(err.code, ErrorCode::Parse, "{}", err.message);
+            assert_eq!(err.line, 1);
+            assert!(err.col > 0);
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert!(matches!(client.call(&Request::Ping), Ok(Response::Pong)));
+    daemon.shutdown_and_wait(&mut client);
+}
+
+/// The nesting limit leaves room for every stage after the reader:
+/// programs whose deepest term sits exactly at the limit — nested
+/// arguments, lists, parentheses, negations, and conjunction and
+/// disjunction chains — reorder on the daemon's compute thread, and one
+/// level deeper is a `parse` reply.
+#[test]
+fn terms_at_the_nesting_limit_reorder_on_the_compute_thread() {
+    // In the goal forms the innermost goal's argument `X` is the deepest
+    // term.
+    let forms: [fn(usize) -> String; 6] = [
+        nested_fact,
+        |d| format!("p({}a{}).", "[".repeat(d - 2), "]".repeat(d - 2)),
+        |d| format!("p(X) :- {}q(X){}.", "(".repeat(d - 3), ")".repeat(d - 3)),
+        |d| format!("p(X) :- {}q(X).", "\\+ ".repeat(d - 3)),
+        |d| format!("p(X) :- {}q(X).", "q(X), ".repeat(d - 3)),
+        |d| format!("p(X) :- {}q(X).", "q(X) ; ".repeat(d - 3)),
+    ];
+    let d = prolog_syntax::MAX_TERM_DEPTH;
+    let daemon = Daemon::spawn(&[]);
+    let mut client = daemon.client();
+    for form in forms {
+        let program = format!("{}\nq(1). q(2).\n", form(d));
+        match client.call(&reorder_request(&program)) {
+            Ok(Response::Reordered { .. }) => {}
+            other => panic!("{program:.40}…: expected a result, got {other:?}"),
+        }
+        match client.call(&reorder_request(&form(d + 1))) {
+            Ok(Response::Error(err)) => assert_eq!(err.code, ErrorCode::Parse),
+            other => panic!("{program:.40}…: expected a parse error, got {other:?}"),
+        }
+    }
+    daemon.shutdown_and_wait(&mut client);
+}

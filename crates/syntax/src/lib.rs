@@ -39,6 +39,6 @@ pub mod token;
 pub use ast::{Body, Clause, Directive, SourceProgram};
 pub use error::{ParseError, Result};
 pub use ops::{OpTable, OpType};
-pub use parser::{parse_program, parse_term, Parser};
+pub use parser::{parse_program, parse_term, Parser, MAX_TERM_DEPTH};
 pub use symbol::{sym, Symbol};
 pub use term::{PredId, Term};

@@ -13,6 +13,16 @@ use crate::term::Term;
 use crate::token::{tokenize, Token, TokenKind};
 use std::collections::HashMap;
 
+/// Deepest term nesting the reader accepts. Each level is one nested
+/// argument, list, operand or parenthesis (a clause body nests one level
+/// per goal; list elements do not nest). Reading recurses once per level
+/// and so does every later walk over the term; the reader is the deepest
+/// walk of the reorder pipeline, at about 5.5 KB a level in a debug build
+/// and 0.7 KB in a release build. At this limit reading and reordering a
+/// program fit in a thread's default 2 MiB stack in either build; deeper
+/// input is a positioned parse error, never a stack overflow.
+pub const MAX_TERM_DEPTH: usize = 256;
+
 /// Reader over a token stream, with an operator table and a per-term
 /// variable table.
 pub struct Parser {
@@ -21,6 +31,8 @@ pub struct Parser {
     ops: OpTable,
     vars: HashMap<String, usize>,
     var_names: Vec<String>,
+    /// Nesting depth of the term being read (see [`MAX_TERM_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -38,6 +50,7 @@ impl Parser {
             ops,
             vars: HashMap::new(),
             var_names: Vec::new(),
+            depth: 0,
         })
     }
 
@@ -107,8 +120,21 @@ impl Parser {
     }
 
     /// Reads one term with precedence at most `max_prec`. Returns the term
-    /// and its actual precedence.
+    /// and its actual precedence. Every recursive read passes through
+    /// here, so this is where the nesting limit is enforced.
     pub fn term(&mut self, max_prec: u32) -> Result<(Term, u32)> {
+        if self.depth == MAX_TERM_DEPTH {
+            return self.error(format!("term nested deeper than {MAX_TERM_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let read = self.operator_term(max_prec);
+        self.depth -= 1;
+        read
+    }
+
+    /// A primary term extended by the infix and postfix operators that fit
+    /// under `max_prec`.
+    fn operator_term(&mut self, max_prec: u32) -> Result<(Term, u32)> {
         let (mut left, mut left_prec) = self.primary(max_prec)?;
         loop {
             match self.peek() {
@@ -540,5 +566,39 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         assert_eq!(p.clauses.len(), 7);
+    }
+
+    /// `p(f(f(…a…)))` whose innermost `a` is read at nesting `depth`.
+    fn nested(depth: usize) -> String {
+        format!("p({}a{}.", "f(".repeat(depth - 2), ")".repeat(depth - 1))
+    }
+
+    #[test]
+    fn deep_terms_are_a_positioned_error_not_a_stack_overflow() {
+        let err = parse_program(&nested(200_000)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert_eq!(err.pos.line, 1);
+        assert_eq!(err.pos.col as usize, 2 + 2 * (MAX_TERM_DEPTH - 1) + 1);
+    }
+
+    #[test]
+    fn every_nesting_form_reads_up_to_the_limit_and_no_further() {
+        let d = MAX_TERM_DEPTH;
+        let forms: [fn(usize) -> String; 6] = [
+            nested,
+            |d| format!("p({}a{}).", "[".repeat(d - 2), "]".repeat(d - 2)),
+            |d| format!("p :- {}a{}.", "(".repeat(d - 2), ")".repeat(d - 2)),
+            |d| format!("p :- {}a.", "\\+ ".repeat(d - 2)),
+            |d| format!("p :- {}a.", "a, ".repeat(d - 2)),
+            |d| format!("p :- {}a.", "a ; ".repeat(d - 2)),
+        ];
+        for form in forms {
+            let at_limit = form(d);
+            if let Err(e) = parse_program(&at_limit) {
+                panic!("{at_limit:.40}…: {e}");
+            }
+            let err = parse_program(&form(d + 1)).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
     }
 }

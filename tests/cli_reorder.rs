@@ -100,6 +100,24 @@ fn parse_error_in_file_exits_nonzero_with_position() {
     assert!(stderr.starts_with("error: "), "got: {stderr}");
 }
 
+/// Reading a 200k-deep term without a limit overflows the stack and
+/// aborts the process (exit 134); past the nesting limit it is an
+/// ordinary positioned diagnostic.
+#[test]
+fn a_200k_deep_term_is_a_diagnostic_not_an_abort() {
+    let depth = 200_000;
+    let text = format!("p({}a{}.\n", "f(".repeat(depth), ")".repeat(depth + 1));
+    let path = temp_file("deep.pl", &text);
+    let out = run_cli(&[path.to_str().unwrap()], "");
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let file = path.to_string_lossy();
+    assert!(
+        stderr.starts_with(&format!("error: {file}:1:")) && stderr.contains("nested deeper"),
+        "diagnostic should carry file:line:col, got: {stderr}"
+    );
+}
+
 #[test]
 fn parse_error_on_stdin_names_stdin() {
     let out = run_cli(&["-"], "p(1).\n\nbroken(.\n");
