@@ -27,7 +27,9 @@
 //! row of `SECTION` on its `original/reordered` ratio, recomputed from
 //! the counts: below `R` fails. CI uses `--min-ratio calibration:1.0` to
 //! pin the closed-loop recalibration at "never slower than the original
-//! program".
+//! program". A floor on a section with no row in the new run is a usage
+//! error (exit 2): it would gate nothing, so a misspelt or vanished
+//! section must not read as a pass.
 
 use bench_harness::suite::BENCH_SCHEMA_VERSION;
 use reordd::Json;
@@ -193,6 +195,14 @@ fn main() {
 
     let base_rows = rows(&base, base_path);
     let new_rows = rows(&new, new_path);
+    for (section, _) in &min_ratios {
+        if !new_rows.iter().any(|(k, _)| k.section == *section) {
+            eprintln!(
+                "error: --min-ratio {section}: {new_path} has no row in section \"{section}\""
+            );
+            std::process::exit(2);
+        }
+    }
     let factor = 1.0 + threshold_pct / 100.0;
 
     let mut matched = 0usize;

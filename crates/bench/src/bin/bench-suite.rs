@@ -9,15 +9,14 @@
 //! Reproduces Tables II/III/IV, the ablation, and the closed-loop
 //! calibration headline (predicate-call counts), evaluates the
 //! fact-scaled workloads bottom-up under each body-ordering strategy,
-//! checks that the compiled engine calls exactly what the interpreter
-//! calls (the `engine` section), drives a store-backed `reordd` open-loop
-//! and through a warm restart (the `serving` section), prints each
-//! section under its title, and writes everything as schema-versioned
-//! JSON (default `BENCH_PR12.json`). The file holds exact counts only;
-//! wall time is measured by `perfbench`. Compare two trajectories with
-//! `bench-diff`; CI runs `--quick` and diffs against the committed
-//! baseline. Depths only add rows — the counts of a row are identical at
-//! every depth, so a quick run diffs cleanly against a full baseline.
+//! drives a store-backed `reordd` open-loop and through a warm restart
+//! (the `serving` section), prints each section under its title, and
+//! writes everything as schema-versioned JSON (default
+//! `BENCH_PR13.json`). The file holds exact counts only; wall time is
+//! measured by `perfbench`. Compare two trajectories with `bench-diff`;
+//! CI runs `--quick` and diffs against the committed baseline. Depths
+//! only add rows — the counts of a row are identical at every depth, so
+//! a quick run diffs cleanly against a full baseline.
 
 use bench_harness::print_table;
 use bench_harness::suite::{encode_trajectory, git_rev, run_suite, Depth};
@@ -25,7 +24,7 @@ use bench_harness::suite::{encode_trajectory, git_rev, run_suite, Depth};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut depth = Depth::Default;
-    let mut out = "BENCH_PR12.json".to_string();
+    let mut out = "BENCH_PR13.json".to_string();
     let mut serve = true;
     let mut i = 0;
     while i < args.len() {
@@ -50,7 +49,7 @@ fn main() {
                      --quick      CI smoke subset (cheap modes only)\n\
                      --full       the paper's complete protocol (includes the\n\
                      \x20            3025-query (+,+) sweeps and measured-best search)\n\
-                     --out PATH   trajectory JSON path (default BENCH_PR12.json)\n\
+                     --out PATH   trajectory JSON path (default BENCH_PR13.json)\n\
                      --no-reordd  skip the serving section (boots reordd on loopback)"
                 );
                 return;

@@ -40,8 +40,8 @@ pub fn measure_queries(program: &SourceProgram, queries: &[Term]) -> Measurement
 }
 
 /// [`measure_queries`] with an explicit machine configuration — the
-/// `engine` trajectory section runs the same query set under the
-/// interpreter and the compiled engine and demands identical counters.
+/// ablation's indexing-off row runs the unreordered program without
+/// first-argument indexing.
 pub fn measure_queries_with(
     program: &SourceProgram,
     queries: &[Term],

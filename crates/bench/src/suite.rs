@@ -2,10 +2,9 @@
 //!
 //! One run reproduces the paper's evaluation (Tables II/III/IV and the
 //! ablation), the closed-loop calibration headline, the fact-scaled
-//! workloads evaluated bottom-up under each body-ordering strategy, the
-//! interpreter-vs-compiled call identity (the `engine` section), and an
+//! workloads evaluated bottom-up under each body-ordering strategy, and an
 //! open-loop serving run against a store-backed `reordd`, and serialises
-//! all of it into a schema-versioned trajectory JSON (`BENCH_PR12.json`).
+//! all of it into a schema-versioned trajectory JSON (`BENCH_PR13.json`).
 //! The trajectory is the regression gate: `bench-diff` compares two of
 //! these files and fails on call-count regressions, so the committed
 //! baseline pins the reorderer's measured quality, not just its output
@@ -21,7 +20,7 @@ use crate::{
     set_equivalent, Measurement, Row,
 };
 use prolog_analysis::Mode;
-use prolog_engine::{EngineKind, MachineConfig};
+use prolog_engine::MachineConfig;
 use prolog_syntax::{PredId, SourceProgram, Term};
 use prolog_trace::fields::write_str;
 use prolog_workloads::corporate::{corporate_program, CorporateConfig};
@@ -41,9 +40,10 @@ use std::time::Duration;
 /// versions. v2 added the `datalog` section and top-level object; v3
 /// added the `engine` section (interp-vs-compiled call identity); v4
 /// added the `serving` section (open-loop health + warm-start hit
-/// ratio); v5 dropped every wall-clock field. The number is owned by the
-/// `reordd` crate — the serving rows' producer (`reordd-bench
-/// --trajectory-out`) and this consumer must never drift apart.
+/// ratio); v5 dropped every wall-clock field; v6 dropped the `engine`
+/// section. The number is owned by the `reordd` crate — the serving
+/// rows' producer (`reordd-bench --trajectory-out`) and this consumer
+/// must never drift apart.
 pub const BENCH_SCHEMA_VERSION: u64 = reordd::TRAJECTORY_SCHEMA_VERSION;
 
 /// Discriminator stored in the file so tooling can recognise it.
@@ -483,7 +483,6 @@ pub fn ablation_rows(depth: Depth) -> Section {
             &reorder::CalibrationConfig {
                 max_queries_per_mode: 16,
                 max_calls_per_query: 500_000,
-                ..Default::default()
             },
         );
         push(
@@ -671,85 +670,6 @@ pub fn datalog_rows(depth: Depth) -> (Section, Vec<DatalogRun>) {
     )
 }
 
-/// The cross-engine section: every workload of Tables II–IV runs the
-/// same query set on the interpreter and on the compiled engine.
-///
-/// The section rows are an *identity* gate, not a speedup table:
-/// `original` is the interpreter's user-call count, `reordered` the
-/// compiled engine's, so a healthy row has ratio exactly 1.0 and
-/// `equivalent` (counters **and** solution sets identical) true. CI
-/// pins this with `bench-diff --min-ratio engine:1.0` — a compiled
-/// engine that calls *more* than the interpreter drops below the floor,
-/// one that calls *less* breaks equivalence against the committed
-/// baseline, and `bench-suite` itself refuses to emit a trajectory with
-/// a non-equivalent row.
-pub fn engine_rows(depth: Depth) -> Section {
-    let mut workloads: Vec<(&'static str, SourceProgram, Vec<Term>)> = Vec::new();
-    let (family, _) = family_program(&FamilyConfig::default());
-    workloads.push((
-        "family",
-        family,
-        parse_queries(&[
-            "aunt(X, Y)",
-            "brother(X, Y)",
-            "cousins(X, Y)",
-            "grandmother(X, Y)",
-        ]),
-    ));
-    let (corporate, _) = corporate_program(&CorporateConfig::default());
-    workloads.push((
-        "corporate",
-        corporate,
-        parse_queries(&[
-            "benefits(E, B)",
-            "pay(E, N, P)",
-            "maternity(E, N)",
-            "tax(E, T)",
-            "average_pay(D, A)",
-        ]),
-    ));
-    workloads.push(("p58", p58_program(), parse_queries(&["p58(X, Y)"])));
-    workloads.push(("meal", meal_program(), parse_queries(&["meal(A, M, D)"])));
-    workloads.push(("team", team_program(), parse_queries(&["team(L, M)"])));
-    if depth >= Depth::Default {
-        workloads.push((
-            "kmbench",
-            kmbench_program(&KmbenchConfig::default()),
-            parse_queries(&["run_all"]),
-        ));
-    }
-
-    let rows = workloads
-        .iter()
-        .map(|(label, program, queries)| {
-            let measure = |engine: EngineKind| {
-                let config = MachineConfig {
-                    engine,
-                    ..Default::default()
-                };
-                measure_queries_with(program, queries, config)
-            };
-            let interp = measure(EngineKind::Interp);
-            let compiled = measure(EngineKind::Compiled);
-            Row {
-                label: label.to_string(),
-                original: interp.calls(),
-                reordered: compiled.calls(),
-                best: None,
-                // Counters *and* per-query solution sets identical.
-                equivalent: interp.counters == compiled.counters
-                    && interp.solutions == compiled.solutions,
-            }
-        })
-        .collect();
-    Section {
-        name: "engine",
-        title: "Engine — interpreter vs compiled engine (predicate calls, must match)",
-        header: "workload",
-        rows,
-    }
-}
-
 /// Load shape of the serving probe. Identical at every depth so the
 /// `open-loop/64x4` row joins across quick/default/full trajectories.
 const SERVING_CONNECTIONS: usize = 64;
@@ -896,7 +816,6 @@ pub fn run_suite(depth: Depth, serve: bool) -> Suite {
         ablation_rows(depth),
         calibration_rows(depth),
         datalog_section,
-        engine_rows(depth),
     ];
     let serving = serve.then(|| {
         let (section, probe) = serving_probe();

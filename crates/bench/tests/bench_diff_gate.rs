@@ -2,8 +2,9 @@
 //! zero edges (growth from a zero baseline, collapse to zero) fail
 //! outright, malformed counts are a schema error rather than an
 //! implicit zero, and `--min-ratio SECTION:R` floors a section's
-//! `original/reordered` ratios. Each test writes two small trajectory
-//! files and checks the exit code and diagnostics of a real run.
+//! `original/reordered` ratios (and refuses a section the new run lacks).
+//! Each test writes two small trajectory files and checks the exit code
+//! and diagnostics of a real run.
 
 use bench_harness::suite::BENCH_SCHEMA_VERSION;
 use std::fmt::Write as _;
@@ -212,6 +213,26 @@ fn malformed_min_ratio_arguments_are_usage_errors() {
             code, 2,
             "--min-ratio {bad} must be rejected; stderr: {stderr}"
         );
+    }
+}
+
+#[test]
+fn min_ratio_on_a_section_without_rows_is_a_usage_error() {
+    // A floor that matches no new-run row gates nothing, so a misspelt
+    // section, or one the new run no longer has, must not pass.
+    let base = trajectory(&[
+        row("calibration", "brother(-,-)", 120, 100),
+        row("engine", "family", 100, 100),
+    ]);
+    let new = trajectory(&[row("calibration", "brother(-,-)", 120, 100)]);
+    for floor in ["calbration:99", "engine:1.0"] {
+        let (code, _, stderr) = run("min_ratio_absent", &base, &new, &["--min-ratio", floor]);
+        assert_eq!(
+            code, 2,
+            "--min-ratio {floor} names no new-run section; stderr: {stderr}"
+        );
+        let section = floor.split_once(':').unwrap().0;
+        assert!(stderr.contains(section), "stderr: {stderr}");
     }
 }
 

@@ -1,5 +1,5 @@
 //! Golden schema tests: pin the two JSON surfaces downstream tooling
-//! consumes — the committed `BENCH_PR12.json` trajectory and the Chrome
+//! consumes — the committed `BENCH_PR13.json` trajectory and the Chrome
 //! trace-event export — so a schema change is a deliberate diff here
 //! (and a `schema_version` bump), never an accident.
 
@@ -52,7 +52,6 @@ fn check_trajectory_schema(doc: &Json, expect_reordd: bool) {
         "ablation",
         "calibration",
         "datalog",
-        "engine",
     ];
     if expect_reordd {
         expected_sections.push("serving");
@@ -159,17 +158,17 @@ fn check_trajectory_schema(doc: &Json, expect_reordd: bool) {
 /// bench-suite` whenever the encoder changes.
 #[test]
 fn committed_baseline_matches_golden_schema() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR12.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR13.json");
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("committed BENCH_PR12.json must exist at the repo root: {e}"));
+        .unwrap_or_else(|e| panic!("committed BENCH_PR13.json must exist at the repo root: {e}"));
     let doc = Json::parse(&text).expect("committed baseline parses");
     check_trajectory_schema(&doc, true);
     assert_eq!(doc.get("depth").and_then(Json::as_str), Some("default"));
 }
 
-/// The baseline bump that dropped the wall-clock fields kept every
-/// count: each gated row of `BENCH_PR12.json` carries the counts and
-/// equivalence it had in `BENCH_PR10.json` (row by row, because
+/// The baseline bump that dropped the `engine` section kept every
+/// count: each gated row of `BENCH_PR13.json` carries the counts and
+/// equivalence it had in `BENCH_PR12.json` (row by row, because
 /// `bench-diff` refuses to compare across schema versions).
 #[test]
 fn committed_baseline_keeps_the_previous_baselines_counts() {
@@ -178,7 +177,7 @@ fn committed_baseline_keeps_the_previous_baselines_counts() {
         Json::parse(&std::fs::read_to_string(&path).expect("baseline readable"))
             .expect("baseline parses")
     };
-    let (new, old) = (load("BENCH_PR12.json"), load("BENCH_PR10.json"));
+    let (new, old) = (load("BENCH_PR13.json"), load("BENCH_PR12.json"));
     let sections = |doc: &Json| arr(doc.get("sections").unwrap()).to_vec();
     let mut compared = 0;
     for section in sections(&new) {
@@ -189,14 +188,14 @@ fn committed_baseline_keeps_the_previous_baselines_counts() {
         let old_section = sections(&old)
             .into_iter()
             .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-            .unwrap_or_else(|| panic!("section {name} exists in BENCH_PR10.json"));
+            .unwrap_or_else(|| panic!("section {name} exists in BENCH_PR12.json"));
         let old_rows = arr(old_section.get("rows").unwrap());
         for row in arr(section.get("rows").unwrap()) {
             let label = row.get("label").and_then(Json::as_str).unwrap();
             let old_row = old_rows
                 .iter()
                 .find(|r| r.get("label").and_then(Json::as_str) == Some(label))
-                .unwrap_or_else(|| panic!("row {name}/{label} exists in BENCH_PR10.json"));
+                .unwrap_or_else(|| panic!("row {name}/{label} exists in BENCH_PR12.json"));
             for field in ["original", "reordered", "equivalent"] {
                 assert_eq!(row.get(field), old_row.get(field), "{name}/{label}/{field}");
             }
@@ -216,7 +215,7 @@ fn fresh_quick_run_matches_schema_and_baseline_counts() {
     let doc = Json::parse(&encoded).expect("fresh trajectory parses");
     check_trajectory_schema(&doc, false);
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR12.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR13.json");
     let baseline = Json::parse(&std::fs::read_to_string(path).expect("baseline readable"))
         .expect("baseline parses");
     let mut shared = 0;

@@ -6,7 +6,7 @@
 //! usage: reorder-prolog INPUT.pl [-o OUTPUT.pl] [--report] [--timings]
 //!                       [--timings-json] [--jobs N] [--no-specialize]
 //!                       [--no-goals] [--no-clauses] [--unfold]
-//!                       [--calibrate N] [--calibrate-report] [--engine KIND]
+//!                       [--calibrate N] [--calibrate-report]
 //!                       [--markov-model] [--trace-out PATH] [--trace-summary]
 //!                       [--backend sld|datalog] [--datalog-report]
 //!                       [--datalog-order STRATEGY]
@@ -112,7 +112,6 @@ fn main() {
     let mut backend = Backend::Sld;
     let mut datalog_report = false;
     let mut datalog_order = OrderStrategy::ChainCost;
-    let mut engine = prolog_engine::EngineKind::default();
     let mut config = ReorderConfig::default();
 
     let mut i = 0;
@@ -164,19 +163,6 @@ fn main() {
                 }
             }
             "--trace-summary" => trace_summary = true,
-            "--engine" => {
-                i += 1;
-                engine = match args
-                    .get(i)
-                    .and_then(|s| prolog_engine::EngineKind::parse(s))
-                {
-                    Some(kind) => kind,
-                    None => {
-                        eprintln!("error: --engine needs `interp` or `compiled`");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--backend" => {
                 i += 1;
                 backend = match args.get(i).map(String::as_str) {
@@ -220,8 +206,6 @@ fn main() {
                      --calibrate-report  print the calibration round log and \
                      the static-vs-measured divergence table on stderr \
                      (implies --calibrate 2 unless given)\n\
-                     --engine E      engine for --calibrate measurement runs: \
-                     interp (default) or compiled (same counts, lower wall time)\n\
                      --timings       print per-stage wall-clock and cache counters \
                      on stderr\n\
                      --timings-json  print the same stats as one JSON object \
@@ -317,10 +301,6 @@ fn main() {
         Some(rounds) => {
             let opts = CalibrationOptions {
                 rounds,
-                sample: reorder::CalibrationConfig {
-                    engine,
-                    ..Default::default()
-                },
                 ..Default::default()
             };
             match reorder::calibrate_source(&src, &config, &opts) {

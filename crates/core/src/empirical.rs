@@ -39,7 +39,7 @@ use crate::config::ReorderConfig;
 use crate::costs::{p_to_solutions, solutions_to_p};
 use crate::driver::{ReorderResult, Reorderer};
 use prolog_analysis::{Mode, ModeItem};
-use prolog_engine::{Engine, EngineError, EngineKind, MachineConfig, PredProfile};
+use prolog_engine::{Engine, EngineError, MachineConfig, PredProfile};
 use prolog_markov::GoalStats;
 use prolog_syntax::{sym, Body, PredId, SourceProgram, Symbol, Term};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -52,10 +52,6 @@ pub struct CalibrationConfig {
     /// Abort a runaway query after this many calls. The sample is then
     /// skipped; the mode survives if any other sample completed.
     pub max_calls_per_query: u64,
-    /// Which engine runs the measurement queries. Call counts are
-    /// engine-independent (the compiled engine counts identically by
-    /// construction), so this only changes calibration wall time.
-    pub engine: EngineKind,
 }
 
 impl Default for CalibrationConfig {
@@ -63,7 +59,6 @@ impl Default for CalibrationConfig {
         CalibrationConfig {
             max_queries_per_mode: 64,
             max_calls_per_query: 1_000_000,
-            engine: EngineKind::default(),
         }
     }
 }
@@ -169,7 +164,6 @@ fn fresh_engine(program: &SourceProgram, config: &CalibrationConfig) -> Engine {
         max_calls: config.max_calls_per_query,
         unknown_fails: true,
         profile: true,
-        engine: config.engine,
         ..Default::default()
     });
     engine.load(program);

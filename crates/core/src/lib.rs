@@ -75,7 +75,3 @@ pub use entry::{
 pub use oracle::ModeOracle;
 pub use report::{ModeReport, PredicateReport, ReorderReport, RunStats};
 pub use unfold::{unfold_program, UnfoldConfig};
-// Re-exported so downstream crates (the reordd daemon) can name the
-// engine that `CalibrationConfig::engine` selects without depending on
-// the engine crate directly.
-pub use prolog_engine::EngineKind;

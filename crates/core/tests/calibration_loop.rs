@@ -31,7 +31,6 @@ fn quick_opts(rounds: usize) -> CalibrationOptions {
         sample: CalibrationConfig {
             max_queries_per_mode: 16,
             max_calls_per_query: 200_000,
-            ..Default::default()
         },
         ..Default::default()
     }

@@ -12,8 +12,8 @@
 //! how CI checks that an injected bug (`--inject-bug`) is caught.
 
 use prolog_difftest::{
-    generate_case, run_case, run_cross_backend, run_cross_engine, shrink_case, BackendConfig,
-    CaseOutcome, EngineCompareConfig, GenConfig, InjectedBug, OracleConfig,
+    generate_case, run_case, run_cross_backend, shrink_case, BackendConfig, CaseOutcome, GenConfig,
+    InjectedBug, OracleConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,9 +31,6 @@ struct Options {
     /// Compare the SLD engine against the bottom-up Datalog backend
     /// instead of running the reordering-equivalence oracle.
     cross_backend: bool,
-    /// Compare the interpreter against the compiled engine on every
-    /// query instead of running the reordering-equivalence oracle.
-    cross_engine: bool,
     gen_config: GenConfig,
     oracle_config: OracleConfig,
     backend_config: BackendConfig,
@@ -51,7 +48,6 @@ impl Default for Options {
             shrink_budget: 600,
             quiet: false,
             cross_backend: false,
-            cross_engine: false,
             gen_config: GenConfig::default(),
             oracle_config: OracleConfig::default(),
             backend_config: BackendConfig::default(),
@@ -75,10 +71,6 @@ usage: difftest [options]
   --expect-discrepancies invert the exit status (harness self-check)
   --cross-backend        compare the SLD engine against the bottom-up
                          Datalog backend on each case's safe fragment
-  --cross-engine         compare the interpreter against the compiled
-                         engine on every query: solutions in order,
-                         counters, profile, output, truncation, errors
-  --engine KIND          oracle engine: interp (default) | compiled
   --no-dedup             cross-backend: compare the raw SLD solution
                          multiset (bottom-up is set-semantics, so
                          duplicate SLD derivations become mismatches)
@@ -128,12 +120,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--expect-discrepancies" => opts.expect_discrepancies = true,
             "--cross-backend" => opts.cross_backend = true,
-            "--cross-engine" => opts.cross_engine = true,
-            "--engine" => {
-                let raw = value(&mut args, "--engine")?;
-                opts.oracle_config.engine = prolog_engine::EngineKind::parse(&raw)
-                    .ok_or_else(|| format!("--engine: unknown kind `{raw}`"))?;
-            }
             "--no-dedup" => opts.backend_config.dedup = false,
             "--no-jobs-check" => opts.oracle_config.check_jobs = false,
             "--shrink-budget" => {
@@ -186,65 +172,6 @@ impl Coverage {
             .map(|((label, _), count)| format!("  {label:<13} {count:>5} / {cases}"))
             .collect::<Vec<_>>()
             .join("\n")
-    }
-}
-
-/// `--cross-engine`: run every case's queries on both engines and
-/// demand exact agreement. A diverging case is saved to the corpus —
-/// the replay test runs corpus cases cross-engine too, so a divergence
-/// becomes a permanent regression fixture.
-fn run_engine_mode(opts: &Options, seeds: &[u64]) -> ExitCode {
-    let config = EngineCompareConfig {
-        max_calls: opts.oracle_config.max_calls,
-        max_depth: opts.oracle_config.max_depth,
-        max_solutions: opts.oracle_config.max_solutions,
-    };
-    let mut discrepancies = 0u64;
-    let mut compared = 0usize;
-    let mut errors_agreed = 0usize;
-    for (i, &case_seed) in seeds.iter().enumerate() {
-        let case = generate_case(case_seed, &opts.gen_config);
-        let outcome = run_cross_engine(&case, &config);
-        compared += outcome.compared;
-        errors_agreed += outcome.errors_agreed;
-        if let Some(discrepancy) = outcome.discrepancy {
-            discrepancies += 1;
-            println!("\ncase {i} FAILED (generator seed {case_seed}):");
-            println!("  {discrepancy}");
-            println!("--- program ---");
-            print!(
-                "{}",
-                prolog_syntax::pretty::program_to_string(&case.program)
-            );
-            println!("--- replay with: difftest --cross-engine --case-seed {case_seed} ---");
-            match prolog_difftest::save_case(&opts.corpus_dir, &case, &discrepancy.to_string()) {
-                Ok(path) => println!("saved reproducer to {}", path.display()),
-                Err(e) => eprintln!("difftest: could not save reproducer: {e}"),
-            }
-        }
-    }
-    println!(
-        "\ndifftest --cross-engine: {} case(s), {} quer{} compared \
-         ({} agreeing on errors), {} discrepanc{}",
-        seeds.len(),
-        compared,
-        if compared == 1 { "y" } else { "ies" },
-        errors_agreed,
-        discrepancies,
-        if discrepancies == 1 { "y" } else { "ies" }
-    );
-    let failed = if opts.expect_discrepancies {
-        if discrepancies == 0 {
-            eprintln!("difftest: expected discrepancies, found none (harness self-check FAILED)");
-        }
-        discrepancies == 0
-    } else {
-        discrepancies > 0
-    };
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
@@ -329,9 +256,6 @@ fn main() -> ExitCode {
 
     if opts.cross_backend {
         return run_backend_mode(&opts, &seeds);
-    }
-    if opts.cross_engine {
-        return run_engine_mode(&opts, &seeds);
     }
 
     let mut coverage = Coverage::default();

@@ -27,23 +27,17 @@
 //!   solution sets top-down and bottom-up (modulo multiplicity — bottom-up
 //!   is set-semantics), and the same fixpoint under every body-ordering
 //!   strategy.
-//! * [`cross_engine`] runs every generated query on both the
-//!   tree-walking interpreter and the compiled engine and demands exact
-//!   agreement on every observable: solutions in order, counters,
-//!   profile, output, truncation, and errors.
 //!
 //! The `difftest` binary drives all of these (see `src/bin/difftest.rs`).
 
 pub mod backends;
 pub mod corpus;
-pub mod cross_engine;
 pub mod generate;
 pub mod oracle;
 pub mod shrink;
 
 pub use backends::{run_cross_backend, BackendConfig, BackendDiscrepancy, BackendOutcome};
 pub use corpus::{load_case, render_case, save_case};
-pub use cross_engine::{run_cross_engine, EngineCompareConfig, EngineDiscrepancy, EngineOutcome};
 pub use generate::{corpus_texts, generate_case, Features, GenConfig, Query, TestCase};
 pub use oracle::{run_case, CaseOutcome, Discrepancy, InjectedBug, OracleConfig};
 pub use shrink::{shrink_case, ShrinkStats};

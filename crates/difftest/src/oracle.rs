@@ -73,8 +73,6 @@ pub struct OracleConfig {
     pub check_jobs: bool,
     /// Corrupt the reordered program to validate the harness itself.
     pub inject: InjectedBug,
-    /// Which engine runs both sides of the comparison (`--engine`).
-    pub engine: prolog_engine::EngineKind,
 }
 
 impl Default for OracleConfig {
@@ -87,7 +85,6 @@ impl Default for OracleConfig {
             budget_slack: 10_000,
             check_jobs: true,
             inject: InjectedBug::None,
-            engine: prolog_engine::EngineKind::default(),
         }
     }
 }
@@ -295,7 +292,6 @@ pub fn run_case(case: &TestCase, config: &OracleConfig) -> CaseOutcome {
         max_calls: config.max_calls,
         max_depth: config.max_depth,
         unknown_fails: true,
-        engine: config.engine,
         ..Default::default()
     };
     let mut original_engine = Engine::with_config(machine_config);

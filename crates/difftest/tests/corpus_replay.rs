@@ -4,7 +4,7 @@
 //! file stays as a permanent regression fixture — this test is what
 //! keeps it honest. An empty (or absent) corpus passes trivially.
 
-use prolog_difftest::{load_case, run_case, run_cross_engine, EngineCompareConfig, OracleConfig};
+use prolog_difftest::{load_case, run_case, OracleConfig};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -38,29 +38,6 @@ fn every_corpus_case_passes_the_oracle() {
     assert!(
         failures.is_empty(),
         "{} corpus case(s) still fail the oracle:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
-}
-
-/// Corpus cases also replay across engines: whatever once broke the
-/// reorderer is exactly the kind of program the clause compiler must not
-/// trip over either, and `difftest --cross-engine` saves its own
-/// divergences here too.
-#[test]
-fn every_corpus_case_agrees_across_engines() {
-    let config = EngineCompareConfig::default();
-    let mut failures = Vec::new();
-    for path in corpus_paths() {
-        let case = load_case(&path).unwrap_or_else(|e| panic!("{e}"));
-        let outcome = run_cross_engine(&case, &config);
-        if let Some(discrepancy) = outcome.discrepancy {
-            failures.push(format!("{}: {discrepancy}", path.display()));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} corpus case(s) diverge between engines:\n{}",
         failures.len(),
         failures.join("\n")
     );

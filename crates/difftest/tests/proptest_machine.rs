@@ -1,25 +1,23 @@
-//! Property tests for the compiled machine over difftest-generated
-//! programs. Where the cross-engine oracle checks *external* observables
-//! (solutions, counters, output), these properties pin the machine's
-//! internal discipline:
+//! Property tests for the machine over difftest-generated programs.
+//! Where the difftest oracle checks *external* observables (solutions,
+//! counters, output), these properties pin the machine's internal
+//! discipline:
 //!
 //! * the trail is empty before a query and empty again once its search
 //!   is exhausted — every binding made was undone;
 //! * the store (heap) only grows while a query runs, and never shrinks
 //!   between solutions — cells are observable via `==`/`@<`, so
-//!   reclaiming them early would change term ordering;
-//! * every compiled predicate passes `PredCode::validate()`: slot
-//!   indices below the clause's frame size, argument registers below the
-//!   arity, dispatch tables referencing real clause positions.
+//!   reclaiming them early would change term ordering.
 
 use prolog_difftest::generate_case;
-use prolog_engine::{Database, EngineKind, Flow, Machine, MachineConfig};
+use prolog_engine::{Database, Flow, Machine, MachineConfig};
 use prolog_syntax::Body;
 use proptest::prelude::*;
 
-fn compiled_config() -> MachineConfig {
+/// The default machine with budgets small enough that a generated
+/// program's runaway query errors out quickly instead of running long.
+fn bounded_config() -> MachineConfig {
     MachineConfig {
-        engine: EngineKind::Compiled,
         max_calls: 50_000,
         max_depth: 5_000,
         unknown_fails: true,
@@ -31,23 +29,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn compiled_code_validates_for_every_generated_predicate(seed in 0u64..1_000_000) {
-        let case = generate_case(seed, &Default::default());
-        let mut db = Database::new();
-        db.load(&case.program);
-        for &id in db.predicates() {
-            let code = db.code_for(id);
-            prop_assert_eq!(code.validate(), Ok(()), "seed {}: {}", seed, id);
-        }
-    }
-
-    #[test]
     fn trail_drains_and_heap_grows_monotonically(seed in 0u64..1_000_000) {
         let case = generate_case(seed, &Default::default());
         let mut db = Database::new();
         db.load(&case.program);
         for query in &case.queries {
-            let mut machine = Machine::new(&db, compiled_config());
+            let mut machine = Machine::new(&db, bounded_config());
             machine.store.alloc(query.var_names.len());
             prop_assert_eq!(machine.store.trail_len(), 0);
             let base_len = machine.store.len();
@@ -102,7 +89,7 @@ proptest! {
             return;
         }
         let goal = prolog_syntax::Term::struct_(id.name, args);
-        let mut machine = Machine::new(&db, compiled_config());
+        let mut machine = Machine::new(&db, bounded_config());
         let run = machine.run(&Body::from_term(&goal), &mut |_| Flow::Continue);
         if run.is_ok() {
             prop_assert_eq!(machine.store.trail_len(), 0, "seed {}", seed);

@@ -6,10 +6,9 @@
 //! database implements exactly that filter, switchable per engine, so the
 //! benchmark harness can measure reordering with and without indexing.
 
-use crate::compile::PredCode;
 use prolog_syntax::{Body, Clause, PredId, SourceProgram, Term};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Index key extracted from a (dereferenced) first argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,12 +89,6 @@ pub struct Database {
     preds: HashMap<PredId, Predicate>,
     /// Definition order, for listings.
     order: Vec<PredId>,
-    /// Per-predicate compiled code, built lazily on first compiled call
-    /// and shared across the queries (and query threads) of this
-    /// database. Invalidated per predicate on mutation. Behind a mutex —
-    /// not an `RwLock` — because the machine keeps its own per-query
-    /// handle cache and only comes here once per predicate.
-    code: Mutex<HashMap<PredId, Arc<PredCode>>>,
 }
 
 impl Database {
@@ -117,7 +110,6 @@ impl Database {
             self.order.push(id);
         }
         self.preds.entry(id).or_default().push(Arc::new(clause));
-        self.invalidate_code(id);
     }
 
     /// Replaces all clauses of a predicate (used when swapping in a
@@ -132,29 +124,6 @@ impl Database {
         if !self.order.contains(&id) {
             self.order.push(id);
         }
-        self.invalidate_code(id);
-    }
-
-    /// Drops the compiled form of a predicate after its clauses changed.
-    fn invalidate_code(&mut self, id: PredId) {
-        self.code
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&id);
-    }
-
-    /// The compiled code object for a predicate, compiling (and caching)
-    /// it on first use. Cheap on a hit: one lock + one map probe; the
-    /// machine additionally keeps per-query handles so the hot path does
-    /// not come back here at all.
-    pub fn code_for(&self, id: PredId) -> Arc<PredCode> {
-        let mut cache = self.code.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(code) = cache.get(&id) {
-            return code.clone();
-        }
-        let code = Arc::new(PredCode::compile(id, self.clauses(id)));
-        cache.insert(id, code.clone());
-        code
     }
 
     pub fn contains(&self, id: PredId) -> bool {

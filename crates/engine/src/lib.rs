@@ -28,7 +28,6 @@
 //! ```
 
 pub mod builtins;
-pub mod compile;
 pub mod counters;
 pub mod database;
 pub mod engine;
@@ -37,12 +36,11 @@ pub mod machine;
 pub mod store;
 pub mod unify;
 
-pub use compile::{disasm, PredCode};
 pub use counters::{Counters, PredProfile};
 pub use database::{Database, IndexKey};
 pub use engine::{Engine, QueryError, QueryOutcome, Solution};
 pub use error::EngineError;
-pub use machine::{EngineKind, Flow, Machine, MachineConfig};
+pub use machine::{Flow, Machine, MachineConfig};
 
 #[cfg(test)]
 mod tests {
@@ -537,186 +535,28 @@ mod tests {
         assert!(!e.has_solution("\\+ p(1)").unwrap());
     }
 
-    /// Runs a query on both engines and asserts every observable is
-    /// identical: solutions (order included), counters, output, and the
-    /// per-predicate profile.
-    fn assert_engines_agree(src: &str, query: &str) {
-        let base = MachineConfig {
-            profile: true,
-            ..Default::default()
-        };
-        let mut interp = Engine::with_config(base);
-        interp.consult(src).expect("program parses");
-        let mut compiled = Engine::with_config(MachineConfig {
-            engine: EngineKind::Compiled,
-            ..base
-        });
-        compiled.consult(src).expect("program parses");
-        let a = interp.query(query).expect("interp runs");
-        let b = compiled.query(query).expect("compiled runs");
-        let a_solutions: Vec<String> = a.solutions.iter().map(|s| s.to_string()).collect();
-        let b_solutions: Vec<String> = b.solutions.iter().map(|s| s.to_string()).collect();
-        assert_eq!(a_solutions, b_solutions, "solutions for {query}");
-        assert_eq!(a.counters, b.counters, "counters for {query}");
-        assert_eq!(a.output, b.output, "output for {query}");
-        assert_eq!(a.profile, b.profile, "profile for {query}");
-    }
-
     #[test]
-    fn compiled_engine_matches_interpreter_on_plain_resolution() {
-        let src = "p(1). p(2). p(3). q(2). q(3). both(X) :- p(X), q(X).";
-        for q in ["both(X)", "p(X)", "both(2)", "both(9)"] {
-            assert_engines_agree(src, q);
-        }
-    }
-
-    #[test]
-    fn compiled_engine_matches_interpreter_on_structures_and_repeats() {
-        let src = "
-            pair(f(X, Y), X, Y).
-            dup(X, X).
-            deep(g(f(a, X), X)) :- dup(X, b).
-        ";
-        for q in [
-            "pair(f(1, 2), A, B)",
-            "pair(P, 1, 2)",
-            "pair(f(U, U), A, B)",
-            "dup(A, B)",
-            "deep(T)",
-            "deep(g(f(a, b), b))",
-            "deep(g(f(a, c), c))",
-        ] {
-            assert_engines_agree(src, q);
-        }
-    }
-
-    #[test]
-    fn compiled_engine_matches_interpreter_on_control_constructs() {
-        let src = "
-            p(1). p(2). p(3).
-            first(X) :- p(X), !.
-            either(X) :- (p(X) ; X = 9).
-            guard(X, Y) :- (p(X) -> Y = hit ; Y = miss).
-            none(X) :- \\+ p(X).
-            cutor(X) :- (p(X), ! ; X = 9).
-        ";
-        for q in [
-            "first(X)",
-            "either(X)",
-            "either(9)",
-            "guard(2, Y)",
-            "guard(7, Y)",
-            "none(7)",
-            "none(1)",
-            "cutor(X)",
-        ] {
-            assert_engines_agree(src, q);
-        }
-    }
-
-    #[test]
-    fn compiled_engine_matches_interpreter_on_builtins_and_recursion() {
-        let src = "
-            len([], 0).
-            len([_|T], N) :- len(T, M), N is M + 1.
-            member(X, [X|_]).
-            member(X, [_|T]) :- member(X, T).
-            collect(L) :- findall(X, member(X, [a, b, c]), L).
-            shout(X) :- member(X, [a, b]), write(X), nl.
-        ";
-        for q in [
-            "len([a, b, c], N)",
-            "member(b, [a, b, c, b])",
-            "collect(L)",
-            "shout(X)",
-        ] {
-            assert_engines_agree(src, q);
-        }
-    }
-
-    #[test]
-    fn compiled_engine_matches_interpreter_on_var_identity_and_order() {
-        // Standard order and `==` observe store cells; the compiled
-        // engine must allocate and bind them in the identical schedule.
-        let src = "
-            p(f(X), X).
-            peek(A, B) :- p(A, B), A @< B.
-            same(A) :- p(A, B), A == f(B).
-        ";
-        for q in ["peek(A, B)", "same(A)"] {
-            assert_engines_agree(src, q);
-        }
-    }
-
-    #[test]
-    fn compiled_engine_respects_indexing_and_unknown_config() {
-        for indexing in [true, false] {
-            for unknown_fails in [true, false] {
-                let base = MachineConfig {
-                    indexing,
-                    unknown_fails,
-                    ..Default::default()
-                };
-                let src = "p(a, 1). p(b, 2). p(a, 3). p(X, 4). q(V) :- p(V, _), ghost(V).";
-                let mut interp = Engine::with_config(base);
-                interp.consult(src).unwrap();
-                let mut compiled = Engine::with_config(MachineConfig {
-                    engine: EngineKind::Compiled,
-                    ..base
-                });
-                compiled.consult(src).unwrap();
-                for q in ["p(a, N)", "p(K, 4)", "q(V)"] {
-                    let a = interp.query(q);
-                    let b = compiled.query(q);
-                    match (a, b) {
-                        (Ok(a), Ok(b)) => {
-                            assert_eq!(a.solution_set(), b.solution_set());
-                            assert_eq!(a.counters, b.counters);
-                        }
-                        (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string()),
-                        (a, b) => panic!("engines diverge on {q}: {a:?} vs {b:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_engine_counts_exactly_like_the_interpreter() {
-        // Pinned absolute counts (mirrors `unifications_count_attempts`-
-        // style tests above): indexing narrows p(a, N) to the two
-        // a-clauses plus the var-headed one.
-        let src = "p(a, 1). p(b, 2). p(a, 3). p(X, 4).";
-        let mut compiled = Engine::with_config(MachineConfig {
-            engine: EngineKind::Compiled,
-            ..Default::default()
-        });
-        compiled.consult(src).unwrap();
-        let out = compiled.query("p(a, N)").unwrap();
+    fn indexed_call_tries_the_matching_and_var_headed_clauses() {
+        // Indexing narrows p(a, N) to the two a-clauses plus the
+        // var-headed one: one user call, three head unifications.
+        let mut e = engine("p(a, 1). p(b, 2). p(a, 3). p(X, 4).");
+        let out = e.query("p(a, N)").unwrap();
         assert_eq!(out.solutions.len(), 3);
         assert_eq!(out.counters.user_calls, 1);
         assert_eq!(out.counters.unifications, 3);
     }
 
     #[test]
-    fn compiled_engine_falls_back_to_interp_under_occurs_check() {
-        let mut e = Engine::with_config(MachineConfig {
-            engine: EngineKind::Compiled,
-            occurs_check: true,
-            ..Default::default()
-        });
-        e.consult("grow(X, f(X)).").unwrap();
-        // X = f(X) must fail under the occurs check, compiled flag or not.
+    fn occurs_check_fails_a_cyclic_head_binding() {
+        let mut e = engine("grow(X, f(X)).");
+        e.config.occurs_check = true;
+        // X = f(X) must fail under the occurs check.
         assert!(!e.query("grow(Y, Y)").unwrap().succeeded());
     }
 
     #[test]
-    fn database_mutation_invalidates_compiled_code() {
-        let mut e = Engine::with_config(MachineConfig {
-            engine: EngineKind::Compiled,
-            ..Default::default()
-        });
-        e.consult("p(1).").unwrap();
+    fn a_clause_consulted_after_a_query_is_visible_to_the_next() {
+        let mut e = engine("p(1).");
         assert_eq!(e.query("p(X)").unwrap().solutions.len(), 1);
         e.consult("p(2).").unwrap();
         assert_eq!(e.query("p(X)").unwrap().solutions.len(), 2);

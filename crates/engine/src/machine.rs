@@ -12,14 +12,12 @@
 //! clauses.
 
 use crate::builtins;
-use crate::compile::{match_head, Instr, PredCode};
 use crate::counters::{Counters, PredProfile};
 use crate::database::{Database, IndexKey};
 use crate::error::EngineError;
 use crate::store::Store;
 use crate::unify::unify;
 use prolog_syntax::{Body, PredId, Term};
-use std::sync::Arc;
 
 /// Search-control signal threaded through the solver.
 #[derive(Debug)]
@@ -40,42 +38,6 @@ pub enum Ctl {
 pub enum Flow {
     Continue,
     Stop,
-}
-
-/// Which execution engine resolves user-predicate calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The AST-walking SLD interpreter — the reference semantics.
-    #[default]
-    Interp,
-    /// WAM-lite compiled clauses with switch-on-term dispatch (see
-    /// [`crate::compile`]). Behaviour-identical to the interpreter: same
-    /// solutions in the same order, same counters, same profile.
-    Compiled,
-}
-
-impl EngineKind {
-    /// Parses the CLI spelling (`interp` | `compiled`).
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "interp" => Some(EngineKind::Interp),
-            "compiled" => Some(EngineKind::Compiled),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EngineKind::Interp => "interp",
-            EngineKind::Compiled => "compiled",
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// Engine configuration.
@@ -99,10 +61,6 @@ pub struct MachineConfig {
     /// attribute calls to specialised versions without paying the global
     /// tracing overhead.
     pub profile: bool,
-    /// Which engine executes user-predicate calls. The compiled engine is
-    /// behaviour-identical and only faster; `Interp` stays the default so
-    /// every baseline count is untouched unless a caller opts in.
-    pub engine: EngineKind,
 }
 
 impl Default for MachineConfig {
@@ -114,7 +72,6 @@ impl Default for MachineConfig {
             max_depth: 100_000,
             unknown_fails: false,
             profile: false,
-            engine: EngineKind::Interp,
         }
     }
 }
@@ -137,11 +94,6 @@ pub struct Machine<'db> {
     /// for profiling, so the hot path pays a single `Option` check per
     /// event otherwise.
     profile: Option<std::collections::HashMap<PredId, PredProfile>>,
-    /// Machine-local handles on the database's compiled code, so the hot
-    /// path pays one local `HashMap` probe instead of a mutex. Safe
-    /// because the database is immutably borrowed for the machine's
-    /// lifetime — code can't be invalidated under us.
-    code_cache: std::collections::HashMap<PredId, Arc<PredCode>>,
     next_level: usize,
     pub(crate) depth: usize,
 }
@@ -157,7 +109,6 @@ impl<'db> Machine<'db> {
             input_chars: Default::default(),
             config,
             profile: (config.profile || prolog_trace::enabled()).then(Default::default),
-            code_cache: Default::default(),
             next_level: 0,
             depth: 0,
         }
@@ -339,13 +290,6 @@ impl<'db> Machine<'db> {
             .as_ref()
             .and_then(IndexKey::of);
 
-        // The compiled engine only runs without the occurs check (its
-        // fast head paths skip the walk entirely); occurs-check
-        // configurations take the interpreter wholesale.
-        if self.config.engine == EngineKind::Compiled && !self.config.occurs_check {
-            return self.call_compiled(&goal, id, first_key, k);
-        }
-
         let clauses = self
             .db
             .matching_clauses(id, first_key, self.config.indexing);
@@ -389,157 +333,6 @@ impl<'db> Machine<'db> {
         }
         self.depth -= 1;
         Ctl::Fail
-    }
-
-    /// The compiled-clause analogue of the interpreter's clause loop in
-    /// [`Machine::call`]. Every observable event — cell allocation order,
-    /// counter increments, profile attribution, cut handling — happens at
-    /// the same point; only the term plumbing differs (head ops walk the
-    /// caller's arguments in place, the body is a flat block with
-    /// per-goal templates).
-    fn call_compiled(
-        &mut self,
-        goal: &Term,
-        id: PredId,
-        first_key: Option<IndexKey>,
-        k: &mut dyn FnMut(&mut Machine<'db>) -> Ctl,
-    ) -> Ctl {
-        let code = self.code_for(id);
-        let args = goal.args();
-
-        let call_level = self.fresh_level();
-        self.depth += 1;
-        if self.depth > self.config.max_depth {
-            self.depth -= 1;
-            return Ctl::Err(EngineError::DepthLimit(self.config.max_depth));
-        }
-
-        for &pos in code.candidates(first_key, self.config.indexing) {
-            let cc = &code.clauses[pos as usize];
-            let mark = self.store.mark();
-            // Cells are allocated before head matching and deliberately
-            // NOT reclaimed on failure, exactly as the interpreter does:
-            // store indices are observable (standard order, var identity),
-            // so the allocation schedule must match cell for cell.
-            let base = self.store.alloc(cc.num_vars);
-            self.counters.unifications += 1;
-            if match_head(&mut self.store, args, &cc.head_ops, base) {
-                match self.run_block(&cc.code, 0, base, call_level, k) {
-                    Ctl::Fail => {
-                        self.store.undo_to(mark);
-                        self.note_backtrack(id);
-                    }
-                    Ctl::CutTo(l) if l == call_level => {
-                        self.store.undo_to(mark);
-                        self.depth -= 1;
-                        return Ctl::Fail;
-                    }
-                    other => {
-                        self.depth -= 1;
-                        return other;
-                    }
-                }
-            } else {
-                self.store.undo_to(mark);
-                self.note_backtrack(id);
-            }
-        }
-        self.depth -= 1;
-        Ctl::Fail
-    }
-
-    /// Executes one compiled block from `pc`: reaching the end is the
-    /// implicit `proceed` (the activation's continuation runs). This is
-    /// the flat-code mirror of [`Machine::solve`], instruction by
-    /// instruction.
-    fn run_block(
-        &mut self,
-        block: &[Instr],
-        pc: usize,
-        base: usize,
-        level: usize,
-        k: &mut dyn FnMut(&mut Machine<'db>) -> Ctl,
-    ) -> Ctl {
-        let Some(instr) = block.get(pc) else {
-            return k(self);
-        };
-        match instr {
-            Instr::Fail => Ctl::Fail,
-            Instr::Cut => match self.run_block(block, pc + 1, base, level, k) {
-                Ctl::Fail => Ctl::CutTo(level),
-                other => other,
-            },
-            Instr::Call(template) => {
-                let goal = template.build(base);
-                let mut k2 =
-                    |m: &mut Machine<'db>| m.run_block(block, pc + 1, base, level, &mut *k);
-                self.call(&goal, &mut k2)
-            }
-            Instr::Or(a, b) => {
-                let mark = self.store.mark();
-                let mut k2 =
-                    |m: &mut Machine<'db>| m.run_block(block, pc + 1, base, level, &mut *k);
-                match self.run_block(a, 0, base, level, &mut k2) {
-                    Ctl::Fail => {
-                        self.store.undo_to(mark);
-                        self.run_block(b, 0, base, level, &mut k2)
-                    }
-                    other => other,
-                }
-            }
-            Instr::IfThenElse(c, t, e) => {
-                let mark = self.store.mark();
-                let cond_level = self.fresh_level();
-                // Solve the condition once; commit to its first solution.
-                let mut once = |_: &mut Machine<'db>| Ctl::Stop;
-                let mut k2 =
-                    |m: &mut Machine<'db>| m.run_block(block, pc + 1, base, level, &mut *k);
-                match self.run_block(c, 0, base, cond_level, &mut once) {
-                    Ctl::Stop => self.run_block(t, 0, base, level, &mut k2),
-                    Ctl::Fail => {
-                        self.store.undo_to(mark);
-                        self.run_block(e, 0, base, level, &mut k2)
-                    }
-                    Ctl::CutTo(l) if l == cond_level => {
-                        self.store.undo_to(mark);
-                        self.run_block(e, 0, base, level, &mut k2)
-                    }
-                    other => other,
-                }
-            }
-            Instr::Not(g) => {
-                let mark = self.store.mark();
-                let not_level = self.fresh_level();
-                let mut once = |_: &mut Machine<'db>| Ctl::Stop;
-                match self.run_block(g, 0, base, not_level, &mut once) {
-                    Ctl::Stop => {
-                        // Negation never exports bindings (§IV-D.5).
-                        self.store.undo_to(mark);
-                        Ctl::Fail
-                    }
-                    Ctl::Fail => {
-                        self.store.undo_to(mark);
-                        self.run_block(block, pc + 1, base, level, k)
-                    }
-                    Ctl::CutTo(l) if l == not_level => {
-                        self.store.undo_to(mark);
-                        self.run_block(block, pc + 1, base, level, k)
-                    }
-                    other => other,
-                }
-            }
-        }
-    }
-
-    /// Machine-local compiled-code lookup, filling from the database's
-    /// shared cache on first use of a predicate.
-    fn code_for(&mut self, id: PredId) -> Arc<PredCode> {
-        if let Some(code) = self.code_cache.get(&id) {
-            return code.clone();
-        }
-        let code = self.db.code_for(id);
-        self.code_cache.insert(id, code.clone());
-        code
     }
 
     fn check_limits(&self) -> Option<EngineError> {

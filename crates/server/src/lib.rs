@@ -38,8 +38,9 @@ pub mod store;
 /// v4: `serving` section (open-loop health + warm-start hit ratio)
 /// added alongside the v3 sections. v5: every wall-clock field dropped
 /// (latency percentiles, `wall_us`); the document carries counts only
-/// and `perfbench` owns time.
-pub const TRAJECTORY_SCHEMA_VERSION: u64 = 5;
+/// and `perfbench` owns time. v6: the `engine` section dropped with the
+/// second execution path it compared.
+pub const TRAJECTORY_SCHEMA_VERSION: u64 = 6;
 
 pub use cache::{content_key, CacheCounters, CachedOutcome, Fetch, ResultCache};
 pub use client::Client;

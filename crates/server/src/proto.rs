@@ -427,13 +427,6 @@ pub struct WireConfig {
     /// Use the paper-faithful Markov-chain cost model instead of the
     /// generator-tree refinement.
     pub markov: bool,
-    /// Engine the server-side calibration loop measures on
-    /// (`interp` or `compiled`). Call counts — the quantity calibration
-    /// consumes — are engine-independent, but the knob still
-    /// participates in the cache key: the equivalence of the two
-    /// engines is a verified property of *this* build, not an
-    /// assumption the cache is allowed to bake in.
-    pub engine: reorder::EngineKind,
 }
 
 impl Default for WireConfig {
@@ -444,7 +437,6 @@ impl Default for WireConfig {
             goals: true,
             clauses: true,
             markov: false,
-            engine: reorder::EngineKind::default(),
         }
     }
 }
@@ -454,12 +446,8 @@ impl WireConfig {
     /// program text before hashing.
     pub fn cache_key_part(&self) -> String {
         format!(
-            "s{}g{}c{}m{}e{}",
-            self.specialize as u8,
-            self.goals as u8,
-            self.clauses as u8,
-            self.markov as u8,
-            self.engine.as_str()
+            "s{}g{}c{}m{}",
+            self.specialize as u8, self.goals as u8, self.clauses as u8, self.markov as u8
         )
     }
 
@@ -645,10 +633,6 @@ fn push_config_and_budget(
                 ("goals".to_string(), Json::Bool(config.goals)),
                 ("clauses".to_string(), Json::Bool(config.clauses)),
                 ("markov".to_string(), Json::Bool(config.markov)),
-                (
-                    "engine".to_string(),
-                    Json::Str(config.engine.as_str().to_string()),
-                ),
             ]),
         ));
     }
@@ -683,14 +667,6 @@ fn decode_config(json: &Json) -> Result<WireConfig, WireError> {
             config.jobs = jobs.as_u64().ok_or_else(|| {
                 WireError::bad_request("config.jobs must be a non-negative integer")
             })? as usize;
-        }
-        if let Some(engine) = c.get("engine") {
-            config.engine = engine
-                .as_str()
-                .and_then(reorder::EngineKind::parse)
-                .ok_or_else(|| {
-                    WireError::bad_request("config.engine must be \"interp\" or \"compiled\"")
-                })?;
         }
     }
     Ok(config)
@@ -1057,7 +1033,6 @@ mod tests {
                     goals: true,
                     clauses: false,
                     markov: true,
-                    engine: reorder::EngineKind::Compiled,
                 },
                 budget_ms: Some(250),
             },
@@ -1188,33 +1163,23 @@ mod tests {
             ..WireConfig::default()
         };
         assert_ne!(a.cache_key_part(), c.cache_key_part());
-        // The calibration engine participates: compiled-vs-interp
-        // equivalence is verified, not assumed by the cache.
-        let d = WireConfig {
-            engine: reorder::EngineKind::Compiled,
-            ..WireConfig::default()
-        };
-        assert_ne!(a.cache_key_part(), d.cache_key_part());
     }
 
     #[test]
-    fn engine_knob_roundtrips_and_rejects_unknown_kinds() {
-        let request = Request::Calibrate {
-            program: "p(1).".to_string(),
-            config: WireConfig {
-                engine: reorder::EngineKind::Compiled,
-                ..WireConfig::default()
-            },
-            rounds: 2,
-            budget_ms: None,
-        };
-        assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-        let err = Request::decode(
-            b"{\"type\":\"calibrate\",\"program\":\"p.\",\"config\":{\"engine\":\"wam\"}}",
-        )
-        .unwrap_err();
-        assert_eq!(err.code, ErrorCode::BadRequest);
-        assert!(err.message.contains("engine"), "{:?}", err.message);
+    fn a_legacy_engine_member_is_ignored() {
+        // Older clients may still send `config.engine`; it is ignored
+        // like any unknown member and selects nothing.
+        for kind in ["reorder", "calibrate"] {
+            let payload = format!(
+                "{{\"type\":\"{kind}\",\"program\":\"p.\",\"config\":{{\"engine\":\"compiled\"}}}}"
+            );
+            match Request::decode(payload.as_bytes()).unwrap() {
+                Request::Reorder { config, .. } | Request::Calibrate { config, .. } => {
+                    assert_eq!(config, WireConfig::default(), "{kind}")
+                }
+                other => panic!("{kind} decoded as {other:?}"),
+            }
+        }
     }
 
     #[test]

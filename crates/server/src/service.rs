@@ -967,10 +967,6 @@ fn dispatch(shared: &Arc<Shared>, request: Request) -> Response {
                 let t0 = Instant::now();
                 let opts = reorder::CalibrationOptions {
                     rounds,
-                    sample: reorder::CalibrationConfig {
-                        engine: config.engine,
-                        ..Default::default()
-                    },
                     ..Default::default()
                 };
                 match reorder::calibrate_source(&program, &reorder_config, &opts) {

@@ -39,8 +39,9 @@ use std::time::Duration;
 /// Bump when the record encoding changes — or when the pipeline's output
 /// for an unchanged content key changes (the key hashes the *input*, so
 /// a pipeline behaviour change must version the store to avoid serving
-/// stale bytes).
-pub const STORE_VERSION: u32 = 1;
+/// stale bytes). Version 2: the calibration engine left the cache key,
+/// so every version-1 record sits under a key nothing looks up.
+pub const STORE_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"RDST";
 const HEADER_LEN: u64 = 12;
@@ -388,7 +389,14 @@ fn flush_locked(inner: &mut Inner) -> io::Result<()> {
     if inner.pending.is_empty() {
         return Ok(());
     }
-    inner.active.write_all(&inner.pending)?;
+    if let Err(e) = inner.active.write_all(&inner.pending) {
+        // A write that failed part-way (disk full, file-size limit) left
+        // a torn prefix of `pending` past `active_len`. Cut it off so the
+        // retry writes `pending` where the index already placed it.
+        inner.active.set_len(inner.active_len)?;
+        inner.active.seek(SeekFrom::Start(inner.active_len))?;
+        return Err(e);
+    }
     inner.active_len += inner.pending.len() as u64;
     inner.pending.clear();
     inner.flushes += 1;
@@ -847,6 +855,104 @@ mod tests {
         let store = DiskStore::open(&dir).unwrap();
         assert!(store.is_empty(), "foreign-version segment must read cold");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Set in the child process that runs
+    /// [`partial_flush_then_recovery`] under a file-size limit: the limit
+    /// is process-wide, so it must not reach the other tests' threads.
+    const PARTIAL_FLUSH_DIR: &str = "REORDD_STORE_PARTIAL_FLUSH_DIR";
+
+    #[test]
+    fn a_failed_flush_keeps_every_later_record_addressable() {
+        if let Some(dir) = std::env::var_os(PARTIAL_FLUSH_DIR) {
+            partial_flush_then_recovery(Path::new(&dir));
+            return;
+        }
+        let name = concat!(
+            module_path!(),
+            "::a_failed_flush_keeps_every_later_record_addressable"
+        );
+        let name = name.split_once("::").map_or(name, |(_, path)| path);
+        let dir = temp_dir("partial-flush");
+        let output = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--nocapture", "--test-threads=1"])
+            .env(PARTIAL_FLUSH_DIR, &dir)
+            .output()
+            .expect("the test binary re-runs itself");
+        let _ = std::fs::remove_dir_all(&dir);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success() && stdout.contains("1 passed"),
+            "child run failed ({}):\n{stdout}\n{stderr}",
+            output.status
+        );
+    }
+
+    /// 90 puts of ~3 KB fill the write-behind buffer past the flush
+    /// threshold while the file may grow to only 200 KiB, so the flush
+    /// fails part-way; then the limit is lifted and 90 more puts follow.
+    /// Every record must read back, in process and after a reopen that
+    /// finds nothing torn.
+    fn partial_flush_then_recovery(dir: &Path) {
+        #[repr(C)]
+        struct Rlimit {
+            cur: std::os::raw::c_ulong,
+            max: std::os::raw::c_ulong,
+        }
+        extern "C" {
+            fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+            fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        }
+        extern "C" fn on_xfsz(_signum: i32) {}
+        const RLIMIT_FSIZE: i32 = 1;
+        const SIGXFSZ: i32 = 25;
+
+        let mut original = Rlimit { cur: 0, max: 0 };
+        // SAFETY: `original` is a live, writable `struct rlimit`.
+        assert_eq!(unsafe { getrlimit(RLIMIT_FSIZE, &mut original) }, 0);
+        let limited = Rlimit {
+            cur: 200 * 1024,
+            max: original.max,
+        };
+        // SAFETY: the handler touches no state; with it installed a write
+        // past the limit fails with EFBIG instead of killing the process.
+        // `limited` is a live `struct rlimit`.
+        unsafe {
+            signal(SIGXFSZ, on_xfsz);
+            assert_eq!(setrlimit(RLIMIT_FSIZE, &limited), 0);
+        }
+
+        let text = |i: u128| format!("r{i}:{}", "x".repeat(3000));
+        let store = DiskStore::open(dir).unwrap();
+        for i in 0..90 {
+            store.put(i, &ok_outcome(&text(i)));
+        }
+        assert!(store.flush().is_err(), "the size limit must fail the flush");
+        // SAFETY: `original` is the live `struct rlimit` read above.
+        assert_eq!(unsafe { setrlimit(RLIMIT_FSIZE, &original) }, 0);
+        for i in 90..180 {
+            store.put(i, &ok_outcome(&text(i)));
+        }
+        store.flush().unwrap();
+
+        let assert_all_readable = |store: &DiskStore, when: &str| {
+            let lost: Vec<u128> = (0..180)
+                .filter(|&i| store.get(i).map(|o| program_of(&o) == text(i)) != Some(true))
+                .collect();
+            assert!(
+                lost.is_empty(),
+                "{when}: {} of 180 records unreadable: {lost:?}",
+                lost.len()
+            );
+        };
+        assert_all_readable(&store, "in process");
+        drop(store);
+        let store = DiskStore::open(dir).unwrap();
+        assert_eq!(store.stats().recovered_dropped_bytes, 0);
+        assert_eq!(store.len(), 180);
+        assert_all_readable(&store, "after reopen");
     }
 
     #[test]
