@@ -8,7 +8,6 @@
 
 use prolog_syntax::{Body, Clause, PredId, SourceProgram, Term};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Index key extracted from a (dereferenced) first argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,50 +34,48 @@ impl IndexKey {
 /// One predicate's clauses, in program order, plus its first-argument index.
 #[derive(Debug, Default)]
 pub struct Predicate {
-    pub clauses: Vec<Arc<Clause>>,
-    /// Positions of clauses whose head's first argument matches each key.
+    clauses: Vec<Clause>,
+    /// `Clause::num_vars` of each clause, counted once at load.
+    num_vars: Vec<usize>,
+    /// Every position, for calls the index cannot narrow.
+    all: Vec<usize>,
+    /// For each key, the positions of the clauses whose head's first
+    /// argument has that key or is a variable, in program order.
     index: HashMap<IndexKey, Vec<usize>>,
     /// Positions of clauses whose head's first argument is a variable (or
     /// the predicate has arity 0 / an unindexable first argument): these
-    /// match any call.
+    /// match any call, so they are the candidates for a key with no bucket.
     unindexed: Vec<usize>,
 }
 
 impl Predicate {
-    fn push(&mut self, clause: Arc<Clause>) {
+    fn push(&mut self, clause: Clause) {
         let pos = self.clauses.len();
-        let key = clause.head.args().first().and_then(IndexKey::of);
-        match key {
-            Some(k) => self.index.entry(k).or_default().push(pos),
+        match clause.head.args().first().and_then(IndexKey::of) {
+            Some(k) => self
+                .index
+                .entry(k)
+                .or_insert_with(|| self.unindexed.clone())
+                .push(pos),
             None => {
-                // A var-headed clause matches every key: append to every
-                // existing bucket and remember it for future buckets.
+                // A var-headed clause matches every key.
                 for bucket in self.index.values_mut() {
                     bucket.push(pos);
                 }
                 self.unindexed.push(pos);
             }
         }
+        self.num_vars.push(clause.num_vars());
+        self.all.push(pos);
         self.clauses.push(clause);
     }
 
-    /// Clause positions to try for a call whose first argument has `key`,
-    /// in program order.
-    fn candidates(&self, key: Option<IndexKey>) -> Vec<usize> {
+    /// Clause positions to try for a call whose first argument has `key`
+    /// (`None`: unbound, unindexable, or indexing off), in program order.
+    fn candidates(&self, key: Option<IndexKey>) -> &[usize] {
         match key {
-            None => (0..self.clauses.len()).collect(),
-            Some(k) => {
-                let mut out: Vec<usize> = self.index.get(&k).cloned().unwrap_or_default();
-                // Merge in var-headed clauses not already in the bucket
-                // (those added before the bucket existed).
-                for &pos in &self.unindexed {
-                    if !out.contains(&pos) {
-                        out.push(pos);
-                    }
-                }
-                out.sort_unstable();
-                out
-            }
+            Some(k) => self.index.get(&k).unwrap_or(&self.unindexed),
+            None => &self.all,
         }
     }
 }
@@ -109,7 +106,7 @@ impl Database {
         if !self.preds.contains_key(&id) {
             self.order.push(id);
         }
-        self.preds.entry(id).or_default().push(Arc::new(clause));
+        self.preds.entry(id).or_default().push(clause);
     }
 
     /// Replaces all clauses of a predicate (used when swapping in a
@@ -119,43 +116,38 @@ impl Database {
         *pred = Predicate::default();
         for c in clauses {
             assert_eq!(c.pred_id(), id, "clause belongs to a different predicate");
-            pred.push(Arc::new(c));
+            pred.push(c);
         }
         if !self.order.contains(&id) {
             self.order.push(id);
         }
     }
 
-    pub fn contains(&self, id: PredId) -> bool {
-        self.preds.contains_key(&id)
-    }
-
     /// All clauses of `id` in program order (empty if unknown).
-    pub fn clauses(&self, id: PredId) -> &[Arc<Clause>] {
+    pub fn clauses(&self, id: PredId) -> &[Clause] {
         self.preds
             .get(&id)
             .map(|p| p.clauses.as_slice())
             .unwrap_or(&[])
     }
 
-    /// Clauses to try for a call, respecting first-argument indexing when
-    /// `indexing` is on and the call's first argument is bound.
+    /// Clauses to try for a call, each with its variable count, in program
+    /// order: those whose head's first argument might match
+    /// `first_arg_key` when `indexing` is on, else all of them. `None` if
+    /// the predicate is unknown.
     pub fn matching_clauses(
         &self,
         id: PredId,
         first_arg_key: Option<IndexKey>,
         indexing: bool,
-    ) -> Vec<Arc<Clause>> {
-        let Some(pred) = self.preds.get(&id) else {
-            return Vec::new();
-        };
-        if !indexing || id.arity == 0 {
-            return pred.clauses.clone();
-        }
-        pred.candidates(first_arg_key)
-            .into_iter()
-            .map(|pos| pred.clauses[pos].clone())
-            .collect()
+    ) -> Option<impl Iterator<Item = (&Clause, usize)>> {
+        let pred = self.preds.get(&id)?;
+        let key = first_arg_key.filter(|_| indexing);
+        Some(
+            pred.candidates(key)
+                .iter()
+                .map(move |&pos| (&pred.clauses[pos], pred.num_vars[pos])),
+        )
     }
 
     /// Predicates in definition order.
@@ -168,7 +160,7 @@ impl Database {
         let mut out = SourceProgram::default();
         for id in &self.order {
             for clause in self.clauses(*id) {
-                out.clauses.push((**clause).clone());
+                out.clauses.push(clause.clone());
             }
         }
         out
@@ -187,12 +179,20 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prolog_syntax::parse_program;
+    use prolog_syntax::{parse_program, sym};
 
     fn db(src: &str) -> Database {
         let mut d = Database::new();
         d.load(&parse_program(src).unwrap());
         d
+    }
+
+    /// Second head argument of each clause `matching_clauses` yields.
+    fn seconds(d: &Database, id: PredId, key: Option<IndexKey>, indexing: bool) -> Vec<Term> {
+        d.matching_clauses(id, key, indexing)
+            .expect("known predicate")
+            .map(|(c, _)| c.head.args()[1].clone())
+            .collect()
     }
 
     #[test]
@@ -207,31 +207,49 @@ mod tests {
     fn indexing_filters_by_first_argument() {
         let d = db("p(a, 1). p(b, 2). p(a, 3). p(X, 4).");
         let id = PredId::new("p", 2);
-        let all = d.matching_clauses(id, Some(IndexKey::Atom(prolog_syntax::sym("a"))), false);
-        assert_eq!(all.len(), 4);
-        let filtered = d.matching_clauses(id, Some(IndexKey::Atom(prolog_syntax::sym("a"))), true);
-        // two a-clauses plus the var-headed clause
-        assert_eq!(filtered.len(), 3);
-        // order preserved
-        assert_eq!(filtered[0].head.args()[1], Term::Int(1));
-        assert_eq!(filtered[1].head.args()[1], Term::Int(3));
-        assert_eq!(filtered[2].head.args()[1], Term::Int(4));
+        let a = Some(IndexKey::Atom(sym("a")));
+        assert_eq!(seconds(&d, id, a, false).len(), 4);
+        // two a-clauses plus the var-headed clause, in program order
+        let ints = |ns: &[i64]| ns.iter().map(|&n| Term::Int(n)).collect::<Vec<_>>();
+        assert_eq!(seconds(&d, id, a, true), ints(&[1, 3, 4]));
     }
 
     #[test]
     fn unbound_first_argument_tries_all_clauses() {
         let d = db("p(a). p(b).");
         let id = PredId::new("p", 1);
-        assert_eq!(d.matching_clauses(id, None, true).len(), 2);
+        assert_eq!(d.matching_clauses(id, None, true).unwrap().count(), 2);
     }
 
     #[test]
     fn var_headed_clause_matches_unseen_keys() {
         let d = db("p(X, any). p(a, 1).");
         let id = PredId::new("p", 2);
-        let hits = d.matching_clauses(id, Some(IndexKey::Atom(prolog_syntax::sym("zzz"))), true);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].head.args()[1], Term::atom("any"));
+        let zzz = Some(IndexKey::Atom(sym("zzz")));
+        assert_eq!(seconds(&d, id, zzz, true), vec![Term::atom("any")]);
+    }
+
+    #[test]
+    fn buckets_built_after_var_headed_clauses_keep_program_order() {
+        let d = db("p(X, any). p(a, 1). p(Y, other). p(a, 2). p(b, 3).");
+        let pred = &d.preds[&PredId::new("p", 2)];
+        let key = |name: &str| Some(IndexKey::Atom(sym(name)));
+        assert_eq!(pred.candidates(key("a")), [0, 1, 2, 3]);
+        assert_eq!(pred.candidates(key("b")), [0, 2, 4]);
+        assert_eq!(pred.candidates(key("unseen")), [0, 2]);
+        assert_eq!(pred.candidates(None), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn variable_counts_are_recorded_at_load() {
+        let d = db("p(a, b). p(X, Y) :- q(Y, Z), r(Z, X).");
+        let id = PredId::new("p", 2);
+        let counts: Vec<usize> = d
+            .matching_clauses(id, None, true)
+            .unwrap()
+            .map(|(_, n)| n)
+            .collect();
+        assert_eq!(counts, [0, 3]);
     }
 
     #[test]
@@ -239,9 +257,7 @@ mod tests {
         let d = db("q(f(1), one). q(f(1,2), two). q(g(1), three).");
         let id = PredId::new("q", 2);
         let key = IndexKey::of(&Term::app("f", vec![Term::Int(9)]));
-        let hits = d.matching_clauses(id, key, true);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].head.args()[1], Term::atom("one"));
+        assert_eq!(seconds(&d, id, key, true), vec![Term::atom("one")]);
     }
 
     #[test]
@@ -263,6 +279,8 @@ mod tests {
     fn unknown_predicate_has_no_clauses() {
         let d = db("p(a).");
         assert!(d.clauses(PredId::new("nope", 3)).is_empty());
-        assert!(!d.contains(PredId::new("nope", 3)));
+        assert!(d
+            .matching_clauses(PredId::new("nope", 3), None, true)
+            .is_none());
     }
 }

@@ -16,7 +16,7 @@ use crate::counters::{Counters, PredProfile};
 use crate::database::{Database, IndexKey};
 use crate::error::EngineError;
 use crate::store::Store;
-use crate::unify::unify;
+use crate::unify::unify_renamed;
 use prolog_syntax::{Body, PredId, Term};
 
 /// Search-control signal threaded through the solver.
@@ -276,23 +276,21 @@ impl<'db> Machine<'db> {
         if let Some(err) = self.check_limits() {
             return Ctl::Err(err);
         }
-        if !self.db.contains(id) {
-            if self.config.unknown_fails {
-                return Ctl::Fail;
-            }
-            return Ctl::Err(EngineError::Existence(id));
-        }
-
         let first_key = goal
             .args()
             .first()
             .map(|a| self.store.deref(a))
             .as_ref()
             .and_then(IndexKey::of);
-
-        let clauses = self
-            .db
-            .matching_clauses(id, first_key, self.config.indexing);
+        // A copy of the `&'db` reference: the candidates borrow the
+        // database, not `self`.
+        let db = self.db;
+        let Some(clauses) = db.matching_clauses(id, first_key, self.config.indexing) else {
+            if self.config.unknown_fails {
+                return Ctl::Fail;
+            }
+            return Ctl::Err(EngineError::Existence(id));
+        };
 
         let call_level = self.fresh_level();
         self.depth += 1;
@@ -301,15 +299,15 @@ impl<'db> Machine<'db> {
             return Ctl::Err(EngineError::DepthLimit(self.config.max_depth));
         }
 
-        for clause in clauses {
+        let occurs_check = self.config.occurs_check;
+        for (clause, num_vars) in clauses {
             let mark = self.store.mark();
             // Note: fresh cells are deliberately NOT reclaimed on failure —
             // terms collected by findall/3 (and bindings exported through
             // if-then-else conditions) may reference them.
-            let base = self.store.alloc(clause.num_vars());
-            let head = clause.head.offset_vars(base);
+            let base = self.store.alloc(num_vars);
             self.counters.unifications += 1;
-            if unify(&mut self.store, &goal, &head, self.config.occurs_check) {
+            if unify_renamed(&mut self.store, &goal, &clause.head, base, occurs_check) {
                 let body = clause.body.map_vars(&mut |v| Term::Var(v + base));
                 match self.solve(&body, call_level, k) {
                     Ctl::Fail => {

@@ -53,6 +53,43 @@ pub fn unify(store: &mut Store, a: &Term, b: &Term, occurs_check: bool) -> bool 
     }
 }
 
+/// Unifies `goal` with a clause-head template `head` whose `Var(i)` stands
+/// for store cell `base + i`, without renaming the template first. It makes
+/// the same bindings, in the same order and direction, as
+/// `unify(store, goal, &head.offset_vars(base), occurs_check)`, but copies
+/// a template subterm only when a goal variable is bound to it.
+pub fn unify_renamed(
+    store: &mut Store,
+    goal: &Term,
+    head: &Term,
+    base: usize,
+    occurs_check: bool,
+) -> bool {
+    match head {
+        Term::Var(i) => unify(store, goal, &Term::Var(base + i), occurs_check),
+        Term::Struct(g, ga) => match store.deref(goal) {
+            Term::Var(x) => {
+                let t = head.offset_vars(base);
+                if occurs_check && occurs(store, x, &t) {
+                    return false;
+                }
+                store.bind(x, t);
+                true
+            }
+            Term::Struct(f, fa) => {
+                f == *g
+                    && fa.len() == ga.len()
+                    && fa
+                        .iter()
+                        .zip(ga.iter())
+                        .all(|(x, y)| unify_renamed(store, x, y, base, occurs_check))
+            }
+            _ => false,
+        },
+        atomic => unify(store, goal, atomic, occurs_check),
+    }
+}
+
 /// `true` if variable `v` occurs in `t` (after dereferencing).
 pub fn occurs(store: &Store, v: usize, t: &Term) -> bool {
     match store.deref(t) {

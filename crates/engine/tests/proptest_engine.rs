@@ -3,8 +3,10 @@
 //! changes the *set* of solutions of a pure program, and neither does
 //! goal order when all goals are pure.
 
+use prolog_engine::store::Store;
+use prolog_engine::unify::{unify, unify_renamed};
 use prolog_engine::{Engine, MachineConfig};
-use prolog_syntax::{parse_program, SourceProgram};
+use prolog_syntax::{parse_program, SourceProgram, Term};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------------------
@@ -74,6 +76,94 @@ fn answers(program: &SourceProgram, query: &str) -> Vec<String> {
     let mut e = Engine::new();
     e.load(program);
     e.query(query).expect("pure query runs").solution_set()
+}
+
+// ------------------------------------------------------------------------
+// Goal/head pairs for head unification through an offset.
+// ------------------------------------------------------------------------
+
+/// Goal terms range over store cells `0..GOAL_VARS`; head templates over
+/// template variables `0..HEAD_VARS`, i.e. cells `base..base + HEAD_VARS`.
+const GOAL_VARS: usize = 4;
+const HEAD_VARS: usize = 3;
+
+/// Terms over variables `0..vars` and a small alphabet, so that goal and
+/// head often agree on functors and unification gets deep.
+fn term(vars: usize) -> BoxedStrategy<Term> {
+    let leaf = prop_oneof![
+        (0..vars).prop_map(Term::Var),
+        (0usize..2).prop_map(|i| Term::atom(["a", "b"][i])),
+        Just(Term::Int(0)),
+    ];
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        (0usize..2, prop::collection::vec(inner, 1..3))
+            .prop_map(|(f, args)| Term::app(["f", "g"][f], args))
+    })
+}
+
+/// A store with the goal's cells (the last one optionally bound to `pre`,
+/// a term over the others), `extra` spare cells, then the head's cells.
+/// Returns the store and the head's `base`.
+fn goal_store(pre: Option<&Term>, extra: usize) -> (Store, usize) {
+    let mut store = Store::new();
+    store.alloc(GOAL_VARS);
+    if let Some(t) = pre {
+        store.bind(GOAL_VARS - 1, t.clone());
+    }
+    store.alloc(extra);
+    let base = store.alloc(HEAD_VARS);
+    (store, base)
+}
+
+/// `store.resolve(t)`, cut off `depth` levels down: without the occurs
+/// check, unification may bind a cell to a term that contains it.
+fn resolve_to(store: &Store, t: &Term, depth: usize) -> Term {
+    match store.deref(t) {
+        Term::Struct(f, args) if depth > 0 => Term::struct_(
+            f,
+            args.iter()
+                .map(|a| resolve_to(store, a, depth - 1))
+                .collect(),
+        ),
+        Term::Struct(..) => Term::atom("..."),
+        other => other,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn unify_renamed_matches_unify_against_the_renamed_head(
+        goal_args in prop::collection::vec(term(GOAL_VARS), 2..3),
+        head_args in prop::collection::vec(term(HEAD_VARS), 2..3),
+        pre in term(GOAL_VARS - 1),
+        bind_pre in 0u8..2,
+        extra in 0usize..3,
+    ) {
+        let goal = Term::app("p", goal_args);
+        let head = Term::app("p", head_args);
+        let pre = (bind_pre == 1).then_some(&pre);
+        for occurs_check in [false, true] {
+            let (mut renamed, base) = goal_store(pre, extra);
+            let (mut copied, _) = goal_store(pre, extra);
+            let a = unify_renamed(&mut renamed, &goal, &head, base, occurs_check);
+            let b = unify(&mut copied, &goal, &head.offset_vars(base), occurs_check);
+            prop_assert_eq!(a, b, "{} = {} (occurs check {})", goal, head, occurs_check);
+            prop_assert_eq!(renamed.trail_len(), copied.trail_len());
+            for cell in 0..renamed.len() {
+                let v = Term::Var(cell);
+                prop_assert_eq!(
+                    resolve_to(&renamed, &v, 12),
+                    resolve_to(&copied, &v, 12),
+                    "cell {} after {} = {}",
+                    cell,
+                    goal,
+                    head
+                );
+            }
+        }
+    }
 }
 
 proptest! {

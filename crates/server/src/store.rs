@@ -857,6 +857,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn protocol_mismatch_discards_the_segment() {
+        let dir = temp_dir("protocol");
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            store.put(1, &ok_outcome("stale-wire-format."));
+            store.flush().unwrap();
+        }
+        // Rewrite the header as if a later wire protocol had written it.
+        let seg = segment_path(&dir, 1);
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes[8..12].copy_from_slice(&(PROTOCOL_VERSION as u32 + 1).to_be_bytes());
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let store = DiskStore::open(&dir).unwrap();
+        assert!(store.is_empty(), "foreign-protocol segment must read cold");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_shorter_than_its_header_is_discarded() {
+        let dir = temp_dir("short-header");
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            store.put(1, &ok_outcome("lost."));
+            store.flush().unwrap();
+        }
+        let seg = segment_path(&dir, 1);
+        let bytes = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &bytes[..HEADER_LEN as usize - 1]).unwrap();
+
+        let store = DiskStore::open(&dir).unwrap();
+        assert!(store.is_empty(), "a torn header must read cold");
+        // The reopened store writes a fresh header and works.
+        store.put(2, &ok_outcome("after."));
+        store.flush().unwrap();
+        drop(store);
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(program_of(&store.get(2).unwrap()), "after.");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Set in the child process that runs
     /// [`partial_flush_then_recovery`] under a file-size limit: the limit
     /// is process-wide, so it must not reach the other tests' threads.
