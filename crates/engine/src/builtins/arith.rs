@@ -94,7 +94,7 @@ pub fn eval_arith(store: &Store, t: &Term) -> Result<Num, EngineError> {
                     if b == 0 {
                         Err(EngineError::Arithmetic("mod by zero".into()))
                     } else {
-                        Ok(a.rem_euclid(b))
+                        Ok(a.wrapping_rem_euclid(b))
                     }
                 }),
                 ("rem", 2) => int_only(store, args, |a, b| {

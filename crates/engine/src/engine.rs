@@ -7,6 +7,9 @@ use crate::machine::{Flow, Machine, MachineConfig};
 use prolog_syntax::{parse_program, parse_term, Body, ParseError, SourceProgram, Term};
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::{self, JoinHandle};
 
 /// One solution to a query: the query's variables (by name) bound to
 /// resolved terms. Unbound variables are canonically renumbered `0, 1, …`
@@ -163,119 +166,221 @@ impl Engine {
     /// Runs a parsed query term whose variables `Var(i)` are named
     /// `var_names[i]`.
     ///
-    /// The query runs on a dedicated thread with a large stack: the solver
-    /// is recursive, so a deep Prolog proof needs a deep Rust stack. The
-    /// logical guard is still [`MachineConfig::max_depth`].
+    /// The query runs on the calling thread's query thread, which has a
+    /// large stack: the solver is recursive, so a deep Prolog proof needs a
+    /// deep Rust stack. The logical guard is still
+    /// [`MachineConfig::max_depth`].
+    ///
+    /// # Panics
+    ///
+    /// A goal variable `Var(i)` needs `i < var_names.len()`. A panic inside
+    /// the query is raised again here with its own payload, and the engine
+    /// keeps its clauses and its total counters.
     pub fn query_term(
         &mut self,
         goal: &Term,
         var_names: &[String],
         max_solutions: usize,
     ) -> Result<QueryOutcome, EngineError> {
-        const QUERY_STACK_BYTES: usize = 1 << 30; // virtual; pages commit on use
-        let input_terms = std::mem::take(&mut self.pending_input_terms);
-        let input_chars = std::mem::take(&mut self.pending_input_chars);
-        let (outcome, counters) = std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .stack_size(QUERY_STACK_BYTES)
-                .name("prolog-query".into())
-                .spawn_scoped(scope, || {
-                    self.query_term_inline(goal, var_names, max_solutions, input_terms, input_chars)
-                })
-                .expect("spawn query thread")
-                .join()
-                .expect("query thread panicked")
-        });
+        let job = Job {
+            db: std::mem::take(&mut self.db),
+            goal: goal.clone(),
+            var_names: var_names.to_vec(),
+            config: self.config,
+            max_solutions,
+            input_terms: std::mem::take(&mut self.pending_input_terms),
+            input_chars: std::mem::take(&mut self.pending_input_chars),
+        };
+        let (db, result) = QUERY_THREAD.with(|query_thread| query_thread.run(job));
+        self.db = db;
+        let (outcome, counters) = result.unwrap_or_else(|payload| panic::resume_unwind(payload));
         self.total.add(&counters);
         outcome
-    }
-
-    /// Like [`Engine::query_term`] but on the caller's stack.
-    fn query_term_inline(
-        &self,
-        goal: &Term,
-        var_names: &[String],
-        max_solutions: usize,
-        input_terms: Vec<Term>,
-        input_chars: Vec<char>,
-    ) -> (Result<QueryOutcome, EngineError>, Counters) {
-        let _query_span = prolog_trace::span_with("engine.query", || {
-            prolog_trace::fields::Obj::new()
-                .str("goal", goal.to_string())
-                .u64("max_solutions", max_solutions as u64)
-        });
-        let body = Body::from_term(goal);
-        let mut machine = Machine::new(&self.db, self.config);
-        machine.input_terms = input_terms.into_iter().collect();
-        machine.input_chars = input_chars.into_iter().collect();
-        // Allocate the query's variables as the first store cells, so
-        // `Var(i)` in the query term refers to cell `i`.
-        let nvars = var_names.len();
-        machine.store.alloc(nvars);
-
-        let mut solutions = Vec::new();
-        let mut truncated = false;
-        // Skip anonymous `_Axx` variables in reported solutions, as a
-        // top-level would.
-        let reported: Vec<(usize, String)> = var_names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.starts_with('_'))
-            .map(|(i, n)| (i, n.clone()))
-            .collect();
-
-        let run = machine.run(&body, &mut |m| {
-            let mut canon = Canonicalizer::default();
-            let bindings = reported
-                .iter()
-                .map(|(i, name)| {
-                    let t = m.store.resolve(&Term::Var(*i));
-                    (name.clone(), canon.apply(&t))
-                })
-                .collect();
-            solutions.push(Solution { bindings });
-            if solutions.len() >= max_solutions {
-                truncated = true;
-                Flow::Stop
-            } else {
-                Flow::Continue
-            }
-        });
-        let counters = machine.counters;
-        let profile = machine.take_profile();
-        for (pred, p) in &profile {
-            prolog_trace::instant_with("engine.pred", || {
-                prolog_trace::fields::Obj::new()
-                    .str("pred", pred.clone())
-                    .u64("calls", p.calls)
-                    .u64("backtracks", p.backtracks)
-            });
-        }
-        prolog_trace::instant_with("engine.query_counters", || {
-            prolog_trace::fields::Obj::new()
-                .u64("user_calls", counters.user_calls)
-                .u64("builtin_calls", counters.builtin_calls)
-                .u64("unifications", counters.unifications)
-                .u64("solutions", solutions.len() as u64)
-        });
-        match run {
-            Ok(_) => (
-                Ok(QueryOutcome {
-                    solutions,
-                    counters,
-                    output: machine.output,
-                    truncated,
-                    profile,
-                }),
-                counters,
-            ),
-            Err(e) => (Err(e), counters),
-        }
     }
 
     /// `true` if the query has at least one solution.
     pub fn has_solution(&mut self, goal_src: &str) -> Result<bool, QueryError> {
         Ok(self.query_limit(goal_src, 1)?.succeeded())
+    }
+}
+
+/// Stack of a query thread. The solver recurses once per goal of the
+/// current derivation, so [`MachineConfig::max_depth`] activations need
+/// far more than a default thread's stack. Virtual: pages commit on use.
+const QUERY_STACK_BYTES: usize = 1 << 30;
+
+thread_local! {
+    /// The calling thread's query thread, spawned by its first query.
+    static QUERY_THREAD: QueryThread = QueryThread::spawn();
+}
+
+/// One query with everything it runs over, owned, for a query thread.
+struct Job {
+    db: Database,
+    goal: Term,
+    var_names: Vec<String>,
+    config: MachineConfig,
+    max_solutions: usize,
+    input_terms: Vec<Term>,
+    input_chars: Vec<char>,
+}
+
+/// The job's database, handed back, and the query's result or the payload
+/// of its panic.
+type Reply = (
+    Database,
+    thread::Result<(Result<QueryOutcome, EngineError>, Counters)>,
+);
+
+/// A long-lived thread with a [`QUERY_STACK_BYTES`] stack that runs one
+/// calling thread's queries, one at a time. Dropping it, when the calling
+/// thread exits, closes the job channel and joins the thread.
+struct QueryThread {
+    jobs: Option<Sender<Job>>,
+    replies: Receiver<Reply>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl QueryThread {
+    fn spawn() -> QueryThread {
+        let (jobs, inbox) = mpsc::channel::<Job>();
+        let (outbox, replies) = mpsc::channel();
+        let handle = thread::Builder::new()
+            .stack_size(QUERY_STACK_BYTES)
+            .name("prolog-query".into())
+            .spawn(move || {
+                for job in inbox {
+                    // A query only reads the database, so a panic leaves it
+                    // whole for the caller.
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                        run_query(
+                            &job.db,
+                            job.config,
+                            &job.goal,
+                            &job.var_names,
+                            job.max_solutions,
+                            job.input_terms,
+                            job.input_chars,
+                        )
+                    }));
+                    if outbox.send((job.db, result)).is_err() {
+                        return;
+                    }
+                }
+            })
+            .expect("spawn query thread");
+        QueryThread {
+            jobs: Some(jobs),
+            replies,
+            handle: Some(handle),
+        }
+    }
+
+    /// Hands `job` to the query thread and waits for its reply.
+    fn run(&self, job: Job) -> Reply {
+        self.jobs
+            .as_ref()
+            .expect("the job channel closes only on drop")
+            .send(job)
+            .expect("query thread runs while its caller lives");
+        self.replies
+            .recv()
+            .expect("query thread replies to every job")
+    }
+}
+
+impl Drop for QueryThread {
+    fn drop(&mut self) {
+        // Closing the job channel ends the thread's loop. Every query
+        // panic was caught, so the join has nothing to report.
+        self.jobs = None;
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The body of every query, run on a query thread.
+fn run_query(
+    db: &Database,
+    config: MachineConfig,
+    goal: &Term,
+    var_names: &[String],
+    max_solutions: usize,
+    input_terms: Vec<Term>,
+    input_chars: Vec<char>,
+) -> (Result<QueryOutcome, EngineError>, Counters) {
+    let _query_span = prolog_trace::span_with("engine.query", || {
+        prolog_trace::fields::Obj::new()
+            .str("goal", goal.to_string())
+            .u64("max_solutions", max_solutions as u64)
+    });
+    let body = Body::from_term(goal);
+    let mut machine = Machine::new(db, config);
+    machine.input_terms = input_terms.into_iter().collect();
+    machine.input_chars = input_chars.into_iter().collect();
+    // Allocate the query's variables as the first store cells, so
+    // `Var(i)` in the query term refers to cell `i`.
+    let nvars = var_names.len();
+    machine.store.alloc(nvars);
+
+    let mut solutions = Vec::new();
+    let mut truncated = false;
+    // Skip anonymous `_Axx` variables in reported solutions, as a
+    // top-level would.
+    let reported: Vec<(usize, String)> = var_names
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| !n.starts_with('_'))
+        .map(|(i, n)| (i, n.clone()))
+        .collect();
+
+    let run = machine.run(&body, &mut |m| {
+        let mut canon = Canonicalizer::default();
+        let bindings = reported
+            .iter()
+            .map(|(i, name)| {
+                let t = m.store.resolve(&Term::Var(*i));
+                (name.clone(), canon.apply(&t))
+            })
+            .collect();
+        solutions.push(Solution { bindings });
+        if solutions.len() >= max_solutions {
+            truncated = true;
+            Flow::Stop
+        } else {
+            Flow::Continue
+        }
+    });
+    let counters = machine.counters;
+    let profile = machine.take_profile();
+    for (pred, p) in &profile {
+        prolog_trace::instant_with("engine.pred", || {
+            prolog_trace::fields::Obj::new()
+                .str("pred", pred.clone())
+                .u64("calls", p.calls)
+                .u64("backtracks", p.backtracks)
+        });
+    }
+    prolog_trace::instant_with("engine.query_counters", || {
+        prolog_trace::fields::Obj::new()
+            .u64("user_calls", counters.user_calls)
+            .u64("builtin_calls", counters.builtin_calls)
+            .u64("unifications", counters.unifications)
+            .u64("solutions", solutions.len() as u64)
+    });
+    match run {
+        Ok(_) => (
+            Ok(QueryOutcome {
+                solutions,
+                counters,
+                output: machine.output,
+                truncated,
+                profile,
+            }),
+            counters,
+        ),
+        Err(e) => (Err(e), counters),
     }
 }
 

@@ -191,6 +191,16 @@ mod tests {
         assert_eq!(answers(&mut e, "double(21, X)"), vec!["X = 42"]);
         assert_eq!(answers(&mut e, "X is 7 mod 3"), vec!["X = 1"]);
         assert_eq!(answers(&mut e, "X is -7 mod 3"), vec!["X = 2"]);
+        // The one quotient that overflows: `mod` answers 0, as `rem` does.
+        let min_int = "(-9223372036854775807 - 1)";
+        assert_eq!(
+            answers(&mut e, &format!("X is {min_int} mod -1")),
+            vec!["X = 0"]
+        );
+        assert_eq!(
+            answers(&mut e, &format!("X is {min_int} rem -1")),
+            vec!["X = 0"]
+        );
         assert_eq!(answers(&mut e, "X is 2 ^ 10"), vec!["X = 1024"]);
         assert_eq!(answers(&mut e, "X is min(3, 1) + max(3, 1)"), vec!["X = 4"]);
         assert!(e.query("1 < 2").unwrap().succeeded());
@@ -424,6 +434,47 @@ mod tests {
             Err(QueryError::Engine(EngineError::DepthLimit(_))) => {}
             other => panic!("expected depth limit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_default_depth_limit_holds_on_a_reused_query_thread() {
+        // The query thread's big stack exists for these 100,000
+        // activations; reusing the thread must not eat into it, and the
+        // caller's own stack must not matter.
+        let mut e = engine("loop :- loop.");
+        let limit = QueryError::Engine(EngineError::DepthLimit(100_000));
+        assert_eq!(e.query("loop").unwrap_err(), limit);
+        assert_eq!(e.query("loop").unwrap_err(), limit);
+        let from_small_stack = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || e.query("loop").unwrap_err())
+            .expect("spawn caller")
+            .join()
+            .expect("caller returns");
+        assert_eq!(from_small_stack, limit);
+    }
+
+    #[test]
+    fn a_panicking_query_leaves_the_engine_whole() {
+        use prolog_syntax::{sym, Term};
+        let mut e = engine("p(1). p(2).");
+        assert_eq!(answers(&mut e, "p(X)"), vec!["X = 1", "X = 2"]);
+        let before = e.total_counters();
+        // `_3` is store cell 3, but no variable names means no cells.
+        let goal = Term::struct_(sym("p"), vec![Term::Var(3)]);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.query_term(&goal, &[], usize::MAX)
+        }))
+        .expect_err("a goal variable without a cell panics");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.contains("index out of bounds"),
+            "the query's own payload, got {message:?}"
+        );
+        assert_eq!(e.total_counters(), before);
+        assert_eq!(answers(&mut e, "p(X)"), vec!["X = 1", "X = 2"]);
     }
 
     #[test]
