@@ -8,14 +8,20 @@
 //! add cost (§VI-A.3). Both searches honour the semifixity constraint:
 //! a culprit variable must have the same instantiation state at its goal's
 //! activation as in the original order (§IV-C).
+//!
+//! Both run on a per-block `Kernel`: a candidate prefix is only the
+//! states of the block's own variables, and each goal is scanned once per
+//! distinct state of its variables, not once per candidate. The winning
+//! order is scanned once more from the entry state at the end.
 
 use crate::config::ReorderConfig;
 use crate::costs::Estimator;
 use crate::scan::{scan_goal, ScannedGoal};
 use prolog_analysis::{AbstractState, ModeItem, SemifixityAnalysis};
+use prolog_markov::GoalStats;
 use prolog_syntax::Body;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Result of ordering one mobile block.
 #[derive(Debug, Clone)]
@@ -120,7 +126,7 @@ pub fn best_order(
             .collect();
         trace.push(culprits);
         let scanned = scan_goal(goal, &mut base_state, est)?;
-        base.push(&scanned);
+        base.push(scanned.stats);
         base_scanned.push(scanned);
     }
     let original = OrderOutcome {
@@ -135,25 +141,32 @@ pub fn best_order(
         return Some(original);
     }
 
+    let mut kernel = Kernel::new(goals, entry, est, &trace);
     let (found, explored, rejected) = if n <= config.exhaustive_threshold {
-        exhaustive(goals, entry, est, &trace, original.cost, config.cost_model)
+        exhaustive(&mut kernel, original.cost, config.cost_model)
     } else {
-        astar(
-            goals,
-            entry,
-            est,
-            &trace,
-            config.max_search_nodes,
-            config.cost_model,
-        )
+        astar(&mut kernel, config.max_search_nodes, config.cost_model)
     };
     match found {
         // Require a strict improvement; ties keep the source order.
-        Some(better) if better.cost < original.cost - 1e-9 => Some(OrderOutcome {
-            explored: explored + 1,
-            rejected,
-            ..better
-        }),
+        Some((order, cost)) if cost < original.cost - 1e-9 => {
+            // One more scan from the entry state annotates the goals and
+            // gives the exit state just as the baseline's scan does.
+            let mut exit_state = entry.clone();
+            let scanned = order
+                .iter()
+                .map(|&i| scan_goal(&goals[i], &mut exit_state, est))
+                .collect::<Option<Vec<_>>>()
+                .expect("the search placed every goal of the order legally");
+            Some(OrderOutcome {
+                order,
+                scanned,
+                cost,
+                exit_state,
+                explored: explored + 1,
+                rejected,
+            })
+        }
         _ => Some(OrderOutcome {
             explored: explored + 1,
             rejected,
@@ -167,7 +180,7 @@ pub fn best_order(
 /// `c_i` each; under the generator-tree refinement, each goal's full cost
 /// once per `Π_{j<i} E_j` fresh activations. Both are monotone in prefix
 /// extension, so either keeps the best-first search admissible.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Prefix {
     model: crate::config::CostModelKind,
     prod_p: f64,
@@ -195,8 +208,8 @@ impl Prefix {
     /// branch-and-bound bound and every downstream comparison.
     const FLOOR: f64 = 1e-300;
 
-    fn push(&mut self, goal: &ScannedGoal) {
-        let s = goal.stats.clamped();
+    fn push(&mut self, stats: GoalStats) {
+        let s = stats.clamped();
         match self.model {
             crate::config::CostModelKind::MarkovChain => {
                 self.prod_q = (self.prod_q * (1.0 - s.p)).max(Self::FLOOR);
@@ -214,118 +227,204 @@ impl Prefix {
     }
 }
 
-/// Does placing `goal` now satisfy its culprit-state constraint?
-fn culprits_ok(goal_idx: usize, state: &AbstractState, trace: &[Vec<(usize, ModeItem)>]) -> bool {
-    trace[goal_idx]
-        .iter()
-        .all(|(v, item)| state.get(*v) == *item)
+/// What placing a goal does, given the states of its variables: its
+/// stats and the states of those variables after it, or `None` when the
+/// goal cannot be scanned in that mode.
+type Placement = Option<(GoalStats, Box<[ModeItem]>)>;
+
+/// One block's search state, shared by every candidate prefix.
+///
+/// The block's variables are numbered `0..k`; a prefix is represented by
+/// the `k` states it leaves them in (every other variable keeps its entry
+/// state, since a goal's scan reads and writes only its own variables).
+/// For the same reason a goal's placement depends only on the states of
+/// its own variables, so each is scanned once per distinct such state.
+struct Kernel<'a, 'p> {
+    goals: &'a [Body],
+    est: &'a Estimator<'p>,
+    /// `vars[l]` is the clause variable numbered `l` in this block.
+    vars: Vec<usize>,
+    /// The block's states at entry.
+    entry: Vec<ModeItem>,
+    /// Per goal: the block numbers of its variables.
+    goal_vars: Vec<Vec<usize>>,
+    /// Per goal: the states its culprit variables must have when it runs.
+    culprits: Vec<Vec<(usize, ModeItem)>>,
+    /// Per goal: states of its variables → its placement.
+    memo: Vec<HashMap<Box<[ModeItem]>, Placement>>,
+    /// Lookup key, reused: the states of one goal's variables.
+    key: Vec<ModeItem>,
 }
+
+impl<'a, 'p> Kernel<'a, 'p> {
+    fn new(
+        goals: &'a [Body],
+        entry: &AbstractState,
+        est: &'a Estimator<'p>,
+        trace: &[Vec<(usize, ModeItem)>],
+    ) -> Self {
+        let mut vars: Vec<usize> = Vec::new();
+        let goal_vars = goals
+            .iter()
+            .map(|goal| {
+                goal.variables()
+                    .into_iter()
+                    .map(|v| {
+                        vars.iter().position(|&w| w == v).unwrap_or_else(|| {
+                            vars.push(v);
+                            vars.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        // Culprit variables are variables of their goal.
+        let local = |v: usize| vars.iter().position(|&w| w == v).expect("block variable");
+        let culprits = trace
+            .iter()
+            .map(|c| c.iter().map(|&(v, item)| (local(v), item)).collect())
+            .collect();
+        Kernel {
+            goals,
+            est,
+            entry: vars.iter().map(|&v| entry.get(v)).collect(),
+            vars,
+            goal_vars,
+            culprits,
+            memo: vec![HashMap::new(); goals.len()],
+            key: Vec::new(),
+        }
+    }
+
+    /// Places goal `i` after a prefix that leaves the block in `before`:
+    /// writes the states after the goal to `after` and returns its stats,
+    /// or `None` when the placement is illegal (a culprit variable's state
+    /// differs from the original order's, or the goal is unscannable).
+    fn place(
+        &mut self,
+        i: usize,
+        before: &[ModeItem],
+        after: &mut [ModeItem],
+    ) -> Option<GoalStats> {
+        if self.culprits[i].iter().any(|&(l, item)| before[l] != item) {
+            return None;
+        }
+        self.key.clear();
+        self.key
+            .extend(self.goal_vars[i].iter().map(|&l| before[l]));
+        let placement = match self.memo[i].get(self.key.as_slice()) {
+            Some(placement) => placement,
+            None => {
+                let placement = self.scan(i);
+                self.memo[i]
+                    .entry(self.key.as_slice().into())
+                    .or_insert(placement)
+            }
+        };
+        let (stats, states) = placement.as_ref()?;
+        after.copy_from_slice(before);
+        for (&l, &item) in self.goal_vars[i].iter().zip(states.iter()) {
+            after[l] = item;
+        }
+        Some(*stats)
+    }
+
+    /// Scans goal `i` with its variables in the states of `self.key`.
+    fn scan(&self, i: usize) -> Placement {
+        let mut state = AbstractState::default();
+        for (&l, &item) in self.goal_vars[i].iter().zip(&self.key) {
+            state.set(self.vars[l], item);
+        }
+        let scanned = scan_goal(&self.goals[i], &mut state, self.est)?;
+        let after = self.goal_vars[i].iter().map(|&l| state.get(self.vars[l]));
+        Some((scanned.stats, after.collect()))
+    }
+}
+
+/// A found order and its cost.
+type Found = Option<(Vec<usize>, f64)>;
 
 /// Depth-first enumeration with legality pruning and branch-and-bound.
 /// Returns `(improvement, orders examined, placements rejected)`.
 fn exhaustive(
-    goals: &[Body],
-    entry: &AbstractState,
-    est: &Estimator<'_>,
-    trace: &[Vec<(usize, ModeItem)>],
+    kernel: &mut Kernel<'_, '_>,
     bound: f64,
     model: crate::config::CostModelKind,
-) -> (Option<OrderOutcome>, usize, usize) {
-    struct Search<'a, 'p> {
-        goals: &'a [Body],
-        est: &'a Estimator<'p>,
-        trace: &'a [Vec<(usize, ModeItem)>],
-        best: Option<OrderOutcome>,
+) -> (Found, usize, usize) {
+    struct Search<'k, 'a, 'p> {
+        kernel: &'k mut Kernel<'a, 'p>,
+        /// The block states at each depth: depth `d` at `d*k..(d+1)*k`.
+        states: Vec<ModeItem>,
+        order: Vec<usize>,
+        best: Found,
         bound: f64,
         explored: usize,
         rejected: usize,
     }
 
-    impl Search<'_, '_> {
-        fn dfs(
-            &mut self,
-            used: u64,
-            order: &mut Vec<usize>,
-            scanned: &mut Vec<ScannedGoal>,
-            state: &AbstractState,
-            prefix: &Prefix,
-        ) {
-            let n = self.goals.len();
-            if order.len() == n {
+    impl Search<'_, '_, '_> {
+        fn dfs(&mut self, used: u64, prefix: &Prefix) {
+            let n = self.kernel.goals.len();
+            let depth = self.order.len();
+            if depth == n {
                 self.explored += 1;
                 if prefix.g < self.bound - 1e-12 {
                     self.bound = prefix.g;
-                    self.best = Some(OrderOutcome {
-                        order: order.clone(),
-                        scanned: scanned.clone(),
-                        cost: prefix.g,
-                        exit_state: state.clone(),
-                        explored: 0,
-                        rejected: 0,
-                    });
+                    self.best = Some((self.order.clone(), prefix.g));
                 }
                 return;
             }
+            let k = self.kernel.vars.len();
             for i in 0..n {
                 if used & (1 << i) != 0 {
                     continue;
                 }
-                if !culprits_ok(i, state, self.trace) {
-                    self.rejected += 1;
-                    continue;
-                }
-                let mut next_state = state.clone();
-                let Some(sg) = scan_goal(&self.goals[i], &mut next_state, self.est) else {
+                let (done, rest) = self.states.split_at_mut((depth + 1) * k);
+                let Some(stats) = self.kernel.place(i, &done[depth * k..], &mut rest[..k]) else {
                     self.rejected += 1;
                     continue; // illegal order: prune this branch
                 };
-                let mut next_prefix = prefix.clone();
-                next_prefix.push(&sg);
+                let mut next_prefix = *prefix;
+                next_prefix.push(stats);
                 if next_prefix.g >= self.bound - 1e-12 {
                     continue; // cannot beat the incumbent
                 }
-                order.push(i);
-                scanned.push(sg);
-                self.dfs(used | (1 << i), order, scanned, &next_state, &next_prefix);
-                order.pop();
-                scanned.pop();
+                self.order.push(i);
+                self.dfs(used | (1 << i), &next_prefix);
+                self.order.pop();
             }
         }
     }
 
+    let n = kernel.goals.len();
+    let mut states = kernel.entry.clone();
+    states.resize((n + 1) * kernel.vars.len(), ModeItem::Minus);
     let mut search = Search {
-        goals,
-        est,
-        trace,
+        kernel,
+        states,
+        order: Vec::with_capacity(n),
         best: None,
         bound,
         explored: 0,
         rejected: 0,
     };
-    search.dfs(
-        0,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        entry,
-        &Prefix::new(model),
-    );
+    search.dfs(0, &Prefix::new(model));
     (search.best, search.explored, search.rejected)
 }
 
 /// Best-first (uniform-cost) search over legal ordered prefixes.
 /// Returns `(solution, nodes expanded, placements rejected)`.
 fn astar(
-    goals: &[Body],
-    entry: &AbstractState,
-    est: &Estimator<'_>,
-    trace: &[Vec<(usize, ModeItem)>],
+    kernel: &mut Kernel<'_, '_>,
     max_nodes: usize,
     model: crate::config::CostModelKind,
-) -> (Option<OrderOutcome>, usize, usize) {
+) -> (Found, usize, usize) {
+    /// A legal prefix: the prefix of node `parent` followed by `goal`.
+    /// Its block states are `states[index*k..(index+1)*k]`.
     struct Node {
-        order: Vec<usize>,
-        scanned: Vec<ScannedGoal>,
-        state: AbstractState,
+        parent: usize,
+        goal: usize,
+        used: u64,
         prefix: Prefix,
     }
 
@@ -349,13 +448,16 @@ fn astar(
         }
     }
 
-    let n = goals.len();
-    let mut arena: Vec<Node> = vec![Node {
-        order: Vec::new(),
-        scanned: Vec::new(),
-        state: entry.clone(),
+    let n = kernel.goals.len();
+    let k = kernel.vars.len();
+    let mut arena = vec![Node {
+        parent: 0,
+        goal: 0,
+        used: 0,
         prefix: Prefix::new(model),
     }];
+    let mut states = kernel.entry.clone();
+    let mut next = vec![ModeItem::Minus; k];
     let mut heap = BinaryHeap::new();
     heap.push(Entry(0.0, 0));
     let mut expanded = 0;
@@ -367,60 +469,35 @@ fn astar(
             // Search budget exhausted: caller keeps the original order.
             return (None, expanded, rejected);
         }
-        let (order_len, used): (usize, u64) = {
-            let node = &arena[idx];
-            (
-                node.order.len(),
-                node.order.iter().fold(0, |m, &i| m | 1 << i),
-            )
-        };
-        if order_len == n {
-            let node = &arena[idx];
-            let found = OrderOutcome {
-                order: node.order.clone(),
-                scanned: node.scanned.clone(),
-                cost: g,
-                exit_state: node.state.clone(),
-                explored: expanded,
-                rejected,
-            };
-            return (Some(found), expanded, rejected);
+        let (used, prefix) = (arena[idx].used, arena[idx].prefix);
+        if used.count_ones() as usize == n {
+            let mut order = Vec::with_capacity(n);
+            let mut at = idx;
+            while at != 0 {
+                order.push(arena[at].goal);
+                at = arena[at].parent;
+            }
+            order.reverse();
+            return (Some((order, g)), expanded, rejected);
         }
-        for (i, goal) in goals.iter().enumerate() {
+        for i in 0..n {
             if used & (1 << i) != 0 {
                 continue;
             }
-            let (mut next_state, culps_ok) = {
-                let node = &arena[idx];
-                (node.state.clone(), culprits_ok(i, &node.state, trace))
-            };
-            if !culps_ok {
-                rejected += 1;
-                continue;
-            }
-            let Some(sg) = scan_goal(goal, &mut next_state, est) else {
+            let Some(stats) = kernel.place(i, &states[idx * k..(idx + 1) * k], &mut next) else {
                 rejected += 1;
                 continue;
             };
-            let (mut order, mut scanned, mut prefix) = {
-                let node = &arena[idx];
-                (
-                    node.order.clone(),
-                    node.scanned.clone(),
-                    node.prefix.clone(),
-                )
-            };
-            prefix.push(&sg);
-            order.push(i);
-            scanned.push(sg);
-            let g_new = prefix.g;
+            let mut child = prefix;
+            child.push(stats);
             arena.push(Node {
-                order,
-                scanned,
-                state: next_state,
-                prefix,
+                parent: idx,
+                goal: i,
+                used: used | 1 << i,
+                prefix: child,
             });
-            heap.push(Entry(g_new, arena.len() - 1));
+            states.extend_from_slice(&next);
+            heap.push(Entry(child.g, arena.len() - 1));
         }
     }
     (None, expanded, rejected)
@@ -537,14 +614,10 @@ mod tests {
     /// poisoning every branch-and-bound comparison downstream.
     #[test]
     fn markov_prefix_stays_finite_on_long_near_certain_chains() {
-        let near_certain = ScannedGoal {
-            goal: Body::True,
-            call_mode: None,
-            stats: prolog_markov::GoalStats::new(1.0, 1.0),
-        };
+        let near_certain = GoalStats::new(1.0, 1.0);
         let mut prefix = Prefix::new(crate::config::CostModelKind::MarkovChain);
         for i in 0..200 {
-            prefix.push(&near_certain);
+            prefix.push(near_certain);
             assert!(
                 prefix.g.is_finite(),
                 "g became non-finite after {} goals",
@@ -558,14 +631,10 @@ mod tests {
 
     #[test]
     fn generator_prefix_stays_finite_on_long_generator_chains() {
-        let generator = ScannedGoal {
-            goal: Body::True,
-            call_mode: None,
-            stats: prolog_markov::GoalStats::new(1.0, 1.0),
-        };
+        let generator = GoalStats::new(1.0, 1.0);
         let mut prefix = Prefix::new(crate::config::CostModelKind::GeneratorTree);
         for _ in 0..200 {
-            prefix.push(&generator);
+            prefix.push(generator);
         }
         assert!(prefix.activations.is_finite());
         assert!(prefix.g.is_finite());

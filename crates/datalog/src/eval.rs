@@ -23,6 +23,7 @@ use crate::order::{choose_order, LitEstimator, OrderStrategy};
 use crate::program::{Arg, ArithOp, CmpOp, DatalogProgram, Expr, Lit, OrdOp, RelId, RelKind, Rule};
 use crate::relation::{ColMask, Relation};
 use crate::safety::Certification;
+use prolog_syntax::arith::{int_div, int_mod};
 use prolog_syntax::{PredId, Term};
 use std::collections::HashMap;
 
@@ -784,8 +785,8 @@ fn eval_expr(expr: &Expr, bindings: &[Option<ConstId>], interner: &Interner) -> 
                 ArithOp::Add => a.checked_add(b),
                 ArithOp::Sub => a.checked_sub(b),
                 ArithOp::Mul => a.checked_mul(b),
-                ArithOp::IntDiv => a.checked_div(b),
-                ArithOp::Mod => a.checked_rem(b),
+                ArithOp::IntDiv => int_div(a, b),
+                ArithOp::Mod => int_mod(a, b),
                 ArithOp::Min => Some(a.min(b)),
                 ArithOp::Max => Some(a.max(b)),
             }

@@ -139,6 +139,27 @@ fn corporate_solution_sets_match_the_sld_engine() {
     );
 }
 
+/// Both backends evaluate integer `//` and `mod` alike: `//` truncates
+/// toward zero, and `mod` is ISO's floored remainder, which takes the
+/// divisor's sign.
+#[test]
+fn integer_division_and_mod_agree_across_backends() {
+    let src = "n(-7). n(7). d(-3). d(3).
+               r(X, Y, M, Q) :- n(X), d(Y), M is X mod Y, Q is X // Y.";
+    let program = parse_program(src).expect("test program parses");
+    cross_check(&program, &["r(X, Y, M, Q)"]);
+    let eval = eval_src(src, OrderStrategy::ChainCost);
+    assert_eq!(
+        datalog_answers(&eval, "r(X, Y, M, Q)"),
+        [
+            "X = -7, Y = -3, M = -1, Q = 2",
+            "X = -7, Y = 3, M = 2, Q = -2",
+            "X = 7, Y = -3, M = -2, Q = -2",
+            "X = 7, Y = 3, M = 1, Q = 2",
+        ]
+    );
+}
+
 #[test]
 fn derived_duplicates_collapse_to_set_semantics() {
     // Both rules derive overlap(a): bottom-up must keep a single copy

@@ -4,6 +4,7 @@ use super::Cont;
 use crate::error::EngineError;
 use crate::machine::{Ctl, Machine};
 use crate::store::Store;
+use prolog_syntax::arith::{int_div, int_mod};
 use prolog_syntax::Term;
 use std::cmp::Ordering;
 
@@ -84,18 +85,10 @@ pub fn eval_arith(store: &Store, t: &Term) -> Result<Num, EngineError> {
                     }
                 }
                 ("//", 2) => int_only(store, args, |a, b| {
-                    if b == 0 {
-                        Err(EngineError::Arithmetic("division by zero".into()))
-                    } else {
-                        Ok(a.wrapping_div(b))
-                    }
+                    int_div(a, b).ok_or_else(|| EngineError::Arithmetic("division by zero".into()))
                 }),
                 ("mod", 2) => int_only(store, args, |a, b| {
-                    if b == 0 {
-                        Err(EngineError::Arithmetic("mod by zero".into()))
-                    } else {
-                        Ok(a.wrapping_rem_euclid(b))
-                    }
+                    int_mod(a, b).ok_or_else(|| EngineError::Arithmetic("mod by zero".into()))
                 }),
                 ("rem", 2) => int_only(store, args, |a, b| {
                     if b == 0 {

@@ -191,6 +191,10 @@ mod tests {
         assert_eq!(answers(&mut e, "double(21, X)"), vec!["X = 42"]);
         assert_eq!(answers(&mut e, "X is 7 mod 3"), vec!["X = 1"]);
         assert_eq!(answers(&mut e, "X is -7 mod 3"), vec!["X = 2"]);
+        // ISO's floored `mod` takes the divisor's sign; `//` truncates.
+        assert!(e.query("7 mod -3 =:= -2").unwrap().succeeded());
+        assert!(e.query("-7 mod -3 =:= -1").unwrap().succeeded());
+        assert!(e.query("-7 // 2 =:= -3").unwrap().succeeded());
         // The one quotient that overflows: `mod` answers 0, as `rem` does.
         let min_int = "(-9223372036854775807 - 1)";
         assert_eq!(

@@ -3,11 +3,12 @@
 //! A counting global allocator sees every heap allocation in this test
 //! binary, the query thread's included. A call whose first argument is
 //! unbound scans all 1,000 facts and every head fails on its second
-//! argument, so the query's allocations are its fixed cost (spawning the
-//! query thread, the store and trail, the outcome): far fewer than one per
-//! attempt. Copying each head before unifying it would cost four
-//! allocations an attempt, 4,000 here. The goal is parsed before counting
-//! starts.
+//! argument, so the query's allocations are its fixed cost (handing the
+//! job to the query thread, the store and trail, the outcome): far fewer
+//! than one per attempt. Copying each head before unifying it would cost
+//! four allocations an attempt, 4,000 here. The goal is parsed, and the
+//! calling thread's query thread spawned by a warm-up query, before
+//! counting starts.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
 

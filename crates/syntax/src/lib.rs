@@ -27,6 +27,7 @@
 //! assert!(printed.contains("grandmother(GC, GM)"));
 //! ```
 
+pub mod arith;
 pub mod ast;
 pub mod error;
 pub mod ops;

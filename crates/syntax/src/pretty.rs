@@ -11,23 +11,29 @@ use crate::symbol::sym;
 use crate::term::Term;
 use crate::token::atom_needs_quotes;
 use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
+
+/// The standard operator table, built once: the printer never changes it.
+/// (The reader keeps a table of its own, which `op/3` may extend.)
+fn standard_ops() -> &'static OpTable {
+    static OPS: OnceLock<OpTable> = OnceLock::new();
+    OPS.get_or_init(OpTable::standard)
+}
 
 /// Formats `term` into `f`. `var_names[i]` names `Var(i)`; out-of-range
 /// variables print as `_G<i>` (matching the paper's `_NNNN` style output).
 pub fn fmt_term(f: &mut fmt::Formatter<'_>, term: &Term, var_names: &[String]) -> fmt::Result {
-    let ops = OpTable::standard();
     let mut out = String::new();
     // 1201: a standalone term is unambiguous, so operator atoms print bare.
-    write_term(&mut out, term, 1201, &ops, var_names);
+    write_term(&mut out, term, 1201, standard_ops(), var_names);
     f.write_str(&out)
 }
 
 /// Renders a term to a string with the standard operator table.
 pub fn term_to_string(term: &Term, var_names: &[String]) -> String {
-    let ops = OpTable::standard();
     let mut out = String::new();
     // 1201: see `fmt_term`.
-    write_term(&mut out, term, 1201, &ops, var_names);
+    write_term(&mut out, term, 1201, standard_ops(), var_names);
     out
 }
 
@@ -196,13 +202,13 @@ fn write_list(out: &mut String, term: &Term, ops: &OpTable, var_names: &[String]
 
 /// Renders a clause, with `.` terminator but no trailing newline.
 pub fn clause_to_string(clause: &Clause) -> String {
-    let ops = OpTable::standard();
+    let ops = standard_ops();
     let mut out = String::new();
-    write_term(&mut out, &clause.head, 999, &ops, &clause.var_names);
+    write_term(&mut out, &clause.head, 999, ops, &clause.var_names);
     if !clause.is_fact() {
         out.push_str(" :- ");
         let body_term = clause.body.to_term();
-        write_term(&mut out, &body_term, 1199, &ops, &clause.var_names);
+        write_term(&mut out, &body_term, 1199, ops, &clause.var_names);
     }
     out.push('.');
     out
