@@ -16,8 +16,7 @@ CHANGE_DIR/.bench_work/pairs.jsonl).
 For each metric it prints each side's median and quartiles (the exclusive
 method of statistics.quantiles, n=4), the change's median over the
 parent's, and the change's wins out of the pairs (ties count for neither
-side). End-to-end metrics also get a verdict (choosing-metrics guide, §6
-and §8):
+side). End-to-end metrics also get a verdict by the paired claim rule:
 
   gain            the change wins at least 9 pairs in 10 and the medians
                   differ by more than the parent's quartile distance
