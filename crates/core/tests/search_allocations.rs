@@ -8,8 +8,8 @@
 //! variables, so reordering the program allocates far less than once per
 //! candidate and holds far less than a copy of the clause state per node:
 //! about 28,000 allocations and an 11 MB peak of live heap. Cloning each
-//! candidate's order, scanned goals and abstract state cost 7.19 million
-//! allocations and 113 MB.
+//! candidate's order, scanned goals and abstract state would cost about
+//! 7.2 million allocations and 113 MB.
 //!
 //! A counting global allocator sees every heap allocation in this test
 //! binary; the reorder runs with `jobs: 1`, on the test thread. The

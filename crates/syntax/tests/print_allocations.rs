@@ -3,7 +3,7 @@
 //! A counting global allocator sees every heap allocation in this test
 //! binary. After one warm-up print, rendering `f(a, B)` allocates only
 //! its output string; building the standard operator table (three maps
-//! of about forty operators) on every print cost 49 allocations. The
+//! of about forty operators) on every print would cost 49. The
 //! term is parsed before counting starts.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
